@@ -12,79 +12,12 @@
 #include <mutex>
 #include <new>
 #include <random>
-#include <unordered_map>
 
 #include "src/common/backoff.h"
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
 
 namespace bmeh {
-
-namespace {
-
-// Sticky directory-fsync failure state (see SyncDirectory in the header).
-// Process-wide because directory durability is a property of the path,
-// not of any one PageStore instance.
-std::mutex& DirSyncMutex() {
-  static std::mutex m;
-  return m;
-}
-std::unordered_map<std::string, std::string>& DirSyncFailures() {
-  static auto* failures = new std::unordered_map<std::string, std::string>();
-  return *failures;
-}
-int g_inject_dir_sync_errors = 0;
-
-}  // namespace
-
-Status SyncDirectory(const std::string& dir) {
-  {
-    std::lock_guard<std::mutex> lock(DirSyncMutex());
-    auto it = DirSyncFailures().find(dir);
-    if (it != DirSyncFailures().end()) {
-      return Status::IoError("fsync dir: " + dir + ": " + it->second +
-                             " (sticky: durability of earlier entries is "
-                             "unknown)");
-    }
-    if (g_inject_dir_sync_errors > 0) {
-      --g_inject_dir_sync_errors;
-      DirSyncFailures().emplace(dir, "injected failure");
-      return Status::IoError("fsync dir: " + dir + ": injected failure");
-    }
-  }
-  int fd;
-  do {
-    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::IoError("open dir for fsync: " + dir + ": " +
-                           std::strerror(errno));
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  const int saved = errno;
-  ::close(fd);
-  if (rc != 0) {
-    const std::string reason = std::strerror(saved);
-    std::lock_guard<std::mutex> lock(DirSyncMutex());
-    DirSyncFailures().emplace(dir, reason);
-    return Status::IoError("fsync dir: " + dir + ": " + reason);
-  }
-  return Status::OK();
-}
-
-void internal::InjectDirSyncErrorsForTesting(int count) {
-  std::lock_guard<std::mutex> lock(DirSyncMutex());
-  g_inject_dir_sync_errors = count < 0 ? 0 : count;
-}
-
-void internal::ResetStickyDirSyncErrorsForTesting() {
-  std::lock_guard<std::mutex> lock(DirSyncMutex());
-  DirSyncFailures().clear();
-  g_inject_dir_sync_errors = 0;
-}
 
 // ---------------------------------------------------------------------------
 // PageStore: reservation protocol shared by every backend

@@ -398,28 +398,7 @@ class FilePageStore : public PageStore {
   std::unordered_set<PageId> free_set_;
 };
 
-/// \brief Fsyncs directory `dir` so that renames and creates inside it
-/// are durable — data fsyncs alone do not persist directory entries.
-///
-/// Failures are sticky per directory path, process-wide, for the same
-/// reason FilePageStore::Sync() failures are sticky on the file: after a
-/// failed fsync the kernel may have dropped the dirty entries, so a later
-/// "successful" fsync of the same directory must not be reported as
-/// durability (the PostgreSQL fsync-gate lesson, applied to metadata).
-/// An open() failure is not sticky — nothing was flushed or dropped, and
-/// the caller may retry once the path problem clears.
-Status SyncDirectory(const std::string& dir);
-
 namespace internal {
-
-/// \brief Testing seam: the next `count` SyncDirectory() calls fail as if
-/// the directory fsync itself failed — and, like a real failure, stick to
-/// the directory path they hit.  Process-global; not for concurrent tests.
-void InjectDirSyncErrorsForTesting(int count);
-
-/// \brief Clears every sticky directory-fsync failure and any armed
-/// injection, so tests do not leak state into each other.
-void ResetStickyDirSyncErrorsForTesting();
 
 /// \brief Testing seam for the EINTR-retry loops around the file page
 /// store's syscalls (pread / pwrite / open).  Arms the injector so that,

@@ -1,9 +1,6 @@
 #include "src/store/backup.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -12,6 +9,7 @@
 #include <sstream>
 
 #include "src/common/crc32.h"
+#include "src/common/fs.h"
 #include "src/common/result.h"
 
 namespace bmeh {
@@ -48,35 +46,6 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
-bool PathExists(const std::string& path, bool* is_dir) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return false;
-  if (is_dir != nullptr) *is_dir = S_ISDIR(st.st_mode);
-  return true;
-}
-
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-Status EnsureDir(const std::string& dir) {
-  bool is_dir = false;
-  if (PathExists(dir, &is_dir)) {
-    if (!is_dir) return Status::Invalid(dir + " exists and is not a directory");
-    return Status::OK();
-  }
-  if (::mkdir(dir.c_str(), 0755) != 0) {
-    return Status::IoError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  // Persist the new directory's own entry; losing the whole set directory
-  // from its parent on a crash would silently void the backup.
-  return SyncDirectory(ParentDir(dir));
-}
-
 Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
@@ -90,52 +59,6 @@ Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
   std::fclose(f);
   if (bad) return Status::IoError("read failed: " + path);
   return Status::OK();
-}
-
-/// Writes `bytes` as `dir/name` with the crash-safe dance every sealed
-/// artifact in this codebase uses: temp file, fsync, rename, directory
-/// fsync.  A kill at any point leaves either the complete file or none.
-Status WriteFileDurable(const std::string& dir, const std::string& name,
-                        std::span<const uint8_t> bytes) {
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  int fd;
-  do {
-    fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp_path + ": " +
-                           std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      std::remove(tmp_path.c_str());
-      return Status::IoError("write " + tmp_path + ": " + err);
-    }
-    off += static_cast<size_t>(n);
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    std::remove(tmp_path.c_str());
-    return Status::IoError("fsync " + tmp_path + ": " + err);
-  }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " + err);
-  }
-  return SyncDirectory(dir);
 }
 
 /// Releases a BeginBackup pin on every exit path.

@@ -1,17 +1,12 @@
 #include "src/store/bmeh_store.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
-#include <optional>
-#include <thread>
 #include <unordered_set>
 
-#include "src/common/backoff.h"
 #include "src/common/crc32.h"
+#include "src/common/fs.h"
 #include "src/obs/stopwatch.h"
 #include "src/store/group_committer.h"
 
@@ -34,11 +29,6 @@ constexpr uint32_t kSuperMagicV2 = 0x424d5332;  // "BMS2"
 constexpr uint32_t kSuperMagic = 0x424d5333;    // "BMS3"
 constexpr size_t kSuperPayloadV2 = 20;
 constexpr size_t kSuperPayload = 28;
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 Status ReadSuperblockFrom(PageStore* store, PageId page, PageId* head,
                           uint64_t* generation, PageId* wal_head,
@@ -185,7 +175,7 @@ void BmehStore::StartGroupCommit(const StoreOptions& options) {
   committer_ = std::make_unique<GroupCommitter>(
       gc, [this](std::span<const Wal::LogRecord> recs,
                  std::vector<Status>* results) {
-        auto lock = LockExclusive();
+        auto lock = plane_.LockExclusive();
         ApplyBatchLocked(recs, results);
       });
   if (metrics_ != nullptr) committer_->AttachMetrics(metrics_);
@@ -224,19 +214,15 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   wal_replayed_total_ = metrics_->GetCounter("wal_replayed_records_total");
   batch_writes_total_ = metrics_->GetCounter("store_batch_writes_total");
   batch_records_ = metrics_->GetHistogram("wal_batch_records");
-  read_retries_total_ = metrics_->GetCounter("store_read_retries_total");
-  read_fallbacks_total_ = metrics_->GetCounter("store_read_fallbacks_total");
+  plane_.AttachMetrics(metrics_, "store_");
   insert_latency_ = metrics_->GetHistogram("insert_latency_ns");
   search_latency_ = metrics_->GetHistogram("search_latency_ns");
   delete_latency_ = metrics_->GetHistogram("delete_latency_ns");
   range_latency_ = metrics_->GetHistogram("range_latency_ns");
-  // Read-path latency split by retry count: ops that needed at least one
-  // optimistic retry land here *in addition to* the total histograms.
-  search_retried_latency_ = metrics_->GetHistogram("search_retried_latency_ns");
-  range_retried_latency_ = metrics_->GetHistogram("range_retried_latency_ns");
   checkpoint_latency_ = metrics_->GetHistogram("checkpoint_latency_ns");
   wal_append_latency_ = metrics_->GetHistogram("wal_append_latency_ns");
-  store_->AttachMetrics(metrics_, &op_mutex_, options.metrics_label);
+  store_->AttachMetrics(metrics_, plane_.sample_guard(),
+                        options.metrics_label);
   if (tree_ != nullptr) {
     tree_->set_split_latency_histogram(
         metrics_->GetHistogram("split_latency_ns"));
@@ -244,7 +230,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   // Tree / WAL / logical-I/O state, sampled at Snapshot() time.  The
   // constructor runs before any replay or mutation, so by the time a
   // snapshot can observe this source tree_ is set (OpenExisting assigns
-  // it before anything escapes).  The shared lock makes sampling safe
+  // it before anything escapes).  The shared gate makes sampling safe
   // against the group-commit thread (and costs nothing uncontended).
   // Every sampled name carries the store's label (empty for a standalone
   // store) so sibling shards sharing the registry don't overwrite each
@@ -252,27 +238,17 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   const std::string label = options.metrics_label;
   metrics_source_ =
       metrics_->AddSource([this, label](obs::RegistrySnapshot* s) {
-        std::shared_lock<std::shared_mutex> lock(op_mutex_);
-        // With optimistic reads on, tree-shape gauges are sampled from
-        // the published (immutable) structure under the epoch guard with
-        // version validation — never through the writer-view walk, which
-        // a concurrent mutation's copy-on-write scope would race.
+        auto lock = plane_.LockShared();
         IndexStructureStats ts;
-        bool sampled = false;
-        if (olc_enabled_) {
-          epoch::Guard guard(epoch_mgr_);
-          for (int i = 0; guard.pinned() && i < kOlcReadAttempts && !sampled;
-               ++i) {
-            sampled = tree_->SampleStatsOptimistic(&ts);
-          }
-          const epoch::EpochStats es = epoch_mgr_->Stats();
+        if (!plane_.SampleStats(&ts)) ts = tree_->Stats();
+        if (plane_.enabled()) {
+          const epoch::EpochStats es = plane_.epoch()->Stats();
           s->gauges[label + "epoch_deferred_frees"] =
               static_cast<int64_t>(es.deferred);
           s->counters[label + "epoch_retired_total"] = es.retired_total;
           s->counters[label + "epoch_reclaimed_total"] = es.reclaimed_total;
           s->counters[label + "epoch_advances_total"] = es.advances_total;
         }
-        if (!sampled) ts = tree_->Stats();
         s->gauges[label + "tree_records"] = static_cast<int64_t>(ts.records);
         s->gauges[label + "tree_height"] = tree_->height();
         s->gauges[label + "tree_directory_nodes"] =
@@ -308,7 +284,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
 }
 
 BmehStore::SampledState BmehStore::SampleStateForMetrics() const {
-  std::shared_lock<std::shared_mutex> lock(op_mutex_);
+  auto lock = plane_.LockShared();
   SampledState st;
   st.records = tree_->Stats().records;
   st.height = tree_->height();
@@ -337,10 +313,10 @@ BmehStore::~BmehStore() {
     watchdog_->Unregister(checkpoint_hb_);
     checkpoint_hb_ = nullptr;
   }
-  if (olc_enabled_) {
+  if (plane_.enabled()) {
     // The tree (and everything it retired) dies with this store; drain
     // limbo now so the global manager does not hold dead stores' nodes.
-    epoch_mgr_->Drain();
+    plane_.epoch()->Drain();
   }
 }
 
@@ -372,7 +348,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::InitFresh(
                                           /*wal_base_lsn=*/1));
   // Last step before the store escapes: no other thread can hold a
   // reference yet, so flipping the read path on is unobservable.
-  out->EnableOptimisticReads(options);
+  if (options.optimistic_reads) out->plane_.Enable(out->tree_.get());
   return out;
 }
 
@@ -495,127 +471,12 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
   }
   // Replay is done and the store has not escaped to any other thread yet,
   // so this is the quiescent point where concurrent reads may turn on.
-  out->EnableOptimisticReads(options);
+  // Degraded stores answer DataLoss from quarantined buckets; they keep
+  // the strict locked path rather than audit it under the OLC protocol.
+  if (options.optimistic_reads && !out->degraded()) {
+    out->plane_.Enable(out->tree_.get());
+  }
   return out;
-}
-
-void BmehStore::EnableOptimisticReads(const StoreOptions& options) {
-  if (!options.optimistic_reads) return;
-  if (tree_ == nullptr || tree_->degraded() || report_.degraded) {
-    // Degraded stores answer DataLoss from quarantined buckets; keep the
-    // strict locked path rather than auditing it under the OLC protocol.
-    return;
-  }
-  epoch_mgr_ = epoch::EpochManager::Global();
-  if (!tree_->concurrent_reads_enabled()) {
-    tree_->EnableConcurrentReads(epoch_mgr_);
-  }
-  olc_enabled_ = true;
-}
-
-namespace {
-/// Conflicts resolve in microseconds (one publication), so retry fast
-/// and shallow before surrendering to the shared lock.
-BackoffPolicy OlcReadRetryPolicy() {
-  BackoffPolicy p;
-  p.max_attempts = BmehStore::kOlcReadAttempts;
-  p.base_delay_us = 1;
-  p.max_delay_us = 100;
-  p.total_budget_us = 1000;
-  return p;
-}
-}  // namespace
-
-std::shared_lock<std::shared_mutex> BmehStore::LockShared() const {
-  // Back off while any mutator is waiting for or holding the lock.  The
-  // reader could just as well block on the rwlock — the writer holds it
-  // exclusively anyway — but a timed sleep keeps readers off the rwlock's
-  // futex, which is what prevents the release-time thundering herd the
-  // member comment describes.  No livelock: the gate drops the moment the
-  // last pending mutator releases.  Capped exponential backoff keeps the
-  // wakeup count low across a long hold (e.g. a checkpoint) while adding
-  // at most ~1ms of post-release latency.
-  uint64_t park_us = 10;
-  while (writers_pending_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(park_us));
-    park_us = std::min<uint64_t>(park_us * 2, 1000);
-  }
-  return std::shared_lock<std::shared_mutex>(op_mutex_);
-}
-
-bool BmehStore::TryGetOptimistic(const PseudoKey& key, Result<uint64_t>* res) {
-  // The conflict-free pass is the hot path: no clock reads and no shared
-  // cache-line traffic.  Retry bookkeeping materializes on first conflict.
-  std::optional<Backoff> backoff;
-  uint64_t t0 = 0;
-  for (int attempt = 0;;) {
-    bool conflict = false;
-    bool unpinned = false;
-    Result<uint64_t> found = [&]() -> Result<uint64_t> {
-      epoch::Guard guard(epoch_mgr_);
-      if (!guard.pinned()) {
-        // All epoch reader slots taken: no reclamation protection, so the
-        // optimistic descent is unsafe.  Degrade to the locked path.
-        unpinned = true;
-        return Status::Unavailable("epoch reader slots exhausted");
-      }
-      return tree_->SearchOptimistic(key, &conflict);
-    }();
-    if (unpinned) break;
-    if (!conflict) {
-      if (attempt > 0 && search_retried_latency_ != nullptr) {
-        search_retried_latency_->Record(obs::MonotonicNanos() - t0);
-      }
-      *res = std::move(found);
-      return true;
-    }
-    if (read_retries_total_ != nullptr) read_retries_total_->Inc();
-    if (++attempt >= kOlcReadAttempts) break;
-    if (!backoff.has_value()) {
-      if (search_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-      backoff.emplace(OlcReadRetryPolicy(),
-                      backoff_seed_.fetch_add(1, std::memory_order_relaxed));
-    }
-    SleepUs(backoff->NextDelayUs());  // Sleeps outside the epoch guard.
-  }
-  if (read_fallbacks_total_ != nullptr) read_fallbacks_total_->Inc();
-  return false;
-}
-
-bool BmehStore::TryRangeOptimistic(const RangePredicate& pred,
-                                   std::vector<Record>* out, Status* st) {
-  std::optional<Backoff> backoff;
-  uint64_t t0 = 0;
-  for (int attempt = 0;;) {
-    bool conflict = false;
-    bool unpinned = false;
-    Status walked = [&] {
-      epoch::Guard guard(epoch_mgr_);
-      if (!guard.pinned()) {  // Slots exhausted: take the locked path.
-        unpinned = true;
-        return Status::Unavailable("epoch reader slots exhausted");
-      }
-      return tree_->RangeSearchOptimistic(pred, out, &conflict);
-    }();
-    if (unpinned) break;
-    if (!conflict) {
-      if (attempt > 0 && range_retried_latency_ != nullptr) {
-        range_retried_latency_->Record(obs::MonotonicNanos() - t0);
-      }
-      *st = std::move(walked);
-      return true;
-    }
-    if (read_retries_total_ != nullptr) read_retries_total_->Inc();
-    if (++attempt >= kOlcReadAttempts) break;
-    if (!backoff.has_value()) {
-      if (range_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-      backoff.emplace(OlcReadRetryPolicy(),
-                      backoff_seed_.fetch_add(1, std::memory_order_relaxed));
-    }
-    SleepUs(backoff->NextDelayUs());
-  }
-  if (read_fallbacks_total_ != nullptr) read_fallbacks_total_->Inc();
-  return false;
 }
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(
@@ -629,7 +490,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(
     const std::string& path, const StoreOptions& options) {
-  if (!FileExists(path)) {
+  if (!PathExists(path)) {
     BMEH_ASSIGN_OR_RETURN(auto file,
                           FilePageStore::Create(path, options.page_size));
     if (options.max_pages > 0) file->SetMaxPages(options.max_pages);
@@ -835,7 +696,7 @@ Status BmehStore::Write(const WriteBatch& batch,
              &inject_op_delay_ns_);
   op.set_count(batch.size());
   Status st = [&]() -> Status {
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status applied = ApplyBatchLocked(batch.records(), per_record);
     op.set_lsn(wal_->next_lsn() - 1);
     return applied;
@@ -871,7 +732,7 @@ Status BmehStore::Put(const PseudoKey& key, uint64_t payload) {
       // event keeps lsn 0 rather than racing for it.
       return committer_->Submit({Wal::kOpInsert, key, payload});
     }
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     BMEH_RETURN_NOT_OK(poisoned_);
     BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpInsert, key, payload}));
     op.set_lsn(wal_->next_lsn() - 1);
@@ -888,14 +749,10 @@ Result<uint64_t> BmehStore::Get(const PseudoKey& key) {
   OpScope op("get", search_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
   Result<uint64_t> res = [&]() -> Result<uint64_t> {
-    Result<uint64_t> found{uint64_t{0}};
-    if (olc_enabled_ && TryGetOptimistic(key, &found)) {
-      // Lock-free fast path: no shared lock, so this read did not wait
-      // out a concurrent writer's WAL fsync.
-    } else {
-      auto lock = LockShared();
-      found = tree_->Search(key);
-    }
+    // Lock-free when enabled, so this read does not wait out a
+    // concurrent writer's WAL fsync.
+    Result<uint64_t> found =
+        plane_.Search(key, [&] { return tree_->Search(key); });
     if (!found.ok() && found.status().IsKeyError() &&
         (report_.image_lost || report_.wal_data_loss)) {
       // When a whole image or a WAL suffix is gone, *any* absent key may
@@ -920,7 +777,7 @@ Status BmehStore::Delete(const PseudoKey& key) {
     if (committer_ != nullptr) {
       return committer_->Submit({Wal::kOpDelete, key, 0});
     }
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     BMEH_RETURN_NOT_OK(poisoned_);
     BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpDelete, key, 0}));
     op.set_lsn(wal_->next_lsn() - 1);
@@ -938,13 +795,8 @@ Status BmehStore::Range(const RangePredicate& pred,
   OpScope op("range", range_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
   Status st = [&]() -> Status {
-    Status walked;
-    if (olc_enabled_ && TryRangeOptimistic(pred, out, &walked)) {
-      // Lock-free fast path (see Get).
-    } else {
-      auto lock = LockShared();
-      walked = tree_->RangeSearch(pred, out);
-    }
+    Status walked =
+        plane_.Range(pred, out, [&] { return tree_->RangeSearch(pred, out); });
     if (walked.ok() && (report_.image_lost || report_.wal_data_loss)) {
       // The surviving matches are in `out`, but records destroyed with
       // the image / WAL suffix can no longer be enumerated.
@@ -976,7 +828,7 @@ Status BmehStore::MaybeAutoCheckpointLocked() {
 }
 
 Status BmehStore::Checkpoint() {
-  auto lock = LockExclusive();
+  auto lock = plane_.LockExclusive();
   return CheckpointLocked();
 }
 
@@ -1056,13 +908,9 @@ Status BmehStore::ArchiveWalLocked() {
     return Status::OK();
   }
   // Create the archive directory (and, for a sharded store's per-shard
-  // subdirectory, its parent) on first use; a real failure surfaces from
-  // the segment write below.
-  const size_t slash = wal_archive_dir_.find_last_of('/');
-  if (slash != std::string::npos && slash > 0) {
-    ::mkdir(wal_archive_dir_.substr(0, slash).c_str(), 0755);
-  }
-  ::mkdir(wal_archive_dir_.c_str(), 0755);
+  // subdirectory, its parent) on first use.
+  BMEH_RETURN_NOT_OK(EnsureDir(ParentDir(wal_archive_dir_)));
+  BMEH_RETURN_NOT_OK(EnsureDir(wal_archive_dir_));
   // Every append rewrites the tail page before acknowledging, so the
   // on-disk chain equals the in-memory log: a read-only replay collects
   // exactly the records about to be truncated, LSNs included.
@@ -1088,7 +936,7 @@ Status BmehStore::ArchiveWalLocked() {
 }
 
 Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
-  std::unique_lock<std::shared_mutex> lock(op_mutex_);
+  auto lock = plane_.LockExclusive();
   BMEH_RETURN_NOT_OK(poisoned_);
   if (degraded()) {
     return Status::DataLoss(
@@ -1123,13 +971,13 @@ Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
 }
 
 Status BmehStore::ReadPageForBackup(PageId id, std::vector<uint8_t>* out) {
-  std::shared_lock<std::shared_mutex> lock(op_mutex_);
+  auto lock = plane_.LockShared();
   out->resize(store_->page_size());
   return store_->Read(id, *out);
 }
 
 void BmehStore::EndBackup() {
-  std::unique_lock<std::shared_mutex> lock(op_mutex_);
+  auto lock = plane_.LockExclusive();
   if (backup_pins_ == 0) return;
   if (--backup_pins_ > 0) return;
   // Last pin released: perform the frees checkpoints deferred.  A failed

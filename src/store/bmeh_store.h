@@ -47,8 +47,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,6 +56,7 @@
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 #include "src/pagestore/page_store.h"
+#include "src/store/read_plane.h"
 #include "src/store/wal.h"
 
 namespace bmeh {
@@ -245,9 +244,6 @@ class WriteBatch {
 /// \brief A durable multidimensional record store.
 class BmehStore {
  public:
-  /// Attempts per optimistic read before falling back to the shared lock.
-  static constexpr int kOlcReadAttempts = 4;
-
   ~BmehStore();
   BmehStore(const BmehStore&) = delete;
   BmehStore& operator=(const BmehStore&) = delete;
@@ -374,7 +370,7 @@ class BmehStore {
 
   /// \brief True when Get/Range run the lock-free optimistic path (see
   /// StoreOptions::optimistic_reads; false on degraded stores).
-  bool optimistic_reads_enabled() const { return olc_enabled_; }
+  bool optimistic_reads_enabled() const { return plane_.enabled(); }
 
   /// \brief The underlying page device (introspection / test assertions).
   const PageStore& page_store() const { return *store_; }
@@ -445,14 +441,6 @@ class BmehStore {
   /// both are null).  Called from the constructor so WAL replay during
   /// Open() is already counted.
   void AttachObservability(const StoreOptions& options);
-  /// Flips the tree into concurrent-read mode at the end of Open (no-op
-  /// when disabled by options or the store opened degraded).
-  void EnableOptimisticReads(const StoreOptions& options);
-  /// One lock-free Get/Range attempt loop; returns true when the result
-  /// is final (no fallback needed).  `res`/`st` receive the outcome.
-  bool TryGetOptimistic(const PseudoKey& key, Result<uint64_t>* res);
-  bool TryRangeOptimistic(const RangePredicate& pred,
-                          std::vector<Record>* out, Status* st);
   /// Appends to the WAL and makes the record reachable + durable per the
   /// sync policy.  On failure the store is poisoned.
   Status LogMutation(const Wal::LogRecord& rec);
@@ -460,7 +448,7 @@ class BmehStore {
   /// for a fresh log head, MaybeSync otherwise).  Poisons on failure.
   Status PublishAppended();
   /// The batch engine behind Write(), InsertBatch/DeleteBatch and the
-  /// group-commit thread.  Caller holds op_mutex_ exclusively.
+  /// group-commit thread.  Caller holds plane_ exclusively.
   Status ApplyBatchLocked(std::span<const Wal::LogRecord> recs,
                           std::vector<Status>* per_record);
   /// Starts the group-commit thread when the options ask for it.
@@ -470,51 +458,15 @@ class BmehStore {
   /// the telemetry scope open.
   Status CheckpointArmedLocked();
   Status MaybeAutoCheckpointLocked();
-  /// RAII exclusive hold of op_mutex_ that keeps writers_pending_ raised
-  /// until release (see the member comment).  Only ever constructed as a
-  /// prvalue from LockExclusive(), hence no move support.
-  class ExclusiveOpLock {
-   public:
-    explicit ExclusiveOpLock(const BmehStore* s) : s_(s) {
-      s_->writers_pending_.fetch_add(1, std::memory_order_acquire);
-      lock_ = std::unique_lock<std::shared_mutex>(s_->op_mutex_);
-    }
-    ~ExclusiveOpLock() {
-      lock_.unlock();
-      s_->writers_pending_.fetch_sub(1, std::memory_order_release);
-    }
-    ExclusiveOpLock(ExclusiveOpLock&&) = delete;
-
-   private:
-    const BmehStore* s_;
-    std::unique_lock<std::shared_mutex> lock_;
-  };
-
-  /// Write-preferring acquisition of op_mutex_ (see the member comment).
-  ExclusiveOpLock LockExclusive() const { return ExclusiveOpLock(this); }
-  std::shared_lock<std::shared_mutex> LockShared() const;
-
-  /// Operation lock.  Without group commit the store stays
-  /// owner-synchronized and the lock is merely uncontended overhead; with
-  /// the commit thread running it is what makes Get/Range, explicit
-  /// batch writes, checkpoints and metrics sampling safe against the
-  /// thread: mutators hold it exclusively, readers and the sampled
-  /// sources take it shared.
-  ///
-  /// Acquire through LockExclusive() / LockShared(): glibc's rwlock
-  /// prefers readers, so a stream of Get threads can starve a mutator
-  /// indefinitely (observed: single-digit writes/sec under 16 spinning
-  /// readers).  Mutators raise `writers_pending_` for their whole
-  /// exclusive tenure — acquisition wait *and* hold — and locked readers
-  /// back off on short timed sleeps while it is up.  Two effects: the
-  /// writer's wait is bounded by in-flight readers rather than by reader
-  /// arrival rate, and readers never pile up parked on the rwlock itself,
-  /// so releasing it is not a 16-thread futex wake that hands the core to
-  /// a crowd of sleeper-boosted readers before the writer can continue (a
-  /// real mode: it capped a streaming writer at ~13 commits/s on one
-  /// core).  Optimistic readers never touch the lock at all.
-  mutable std::shared_mutex op_mutex_;
-  mutable std::atomic<int> writers_pending_{0};
+  /// Operation lock and optimistic read path (src/store/read_plane.h).
+  /// Without group commit the store stays owner-synchronized and the lock
+  /// is merely uncontended overhead; with the commit thread running it is
+  /// what makes Get/Range, explicit batch writes, checkpoints, backups
+  /// and metrics sampling safe against the thread.  Every acquisition
+  /// goes through the plane's write-preferring gate, except the page
+  /// store's sampler (PageStore::AttachMetrics), which takes
+  /// sample_guard() shared.
+  OptimisticReadPlane plane_;
   std::unique_ptr<PageStore> store_;
   std::unique_ptr<BmehTree> tree_;
   std::unique_ptr<Wal> wal_;
@@ -572,16 +524,6 @@ class BmehStore {
   obs::Histogram* range_latency_ = nullptr;
   obs::Histogram* checkpoint_latency_ = nullptr;
   obs::Histogram* wal_append_latency_ = nullptr;
-
-  /// Optimistic read plane (see StoreOptions::optimistic_reads).  Set
-  /// once at the end of Open, before the store escapes to any thread.
-  bool olc_enabled_ = false;
-  epoch::EpochManager* epoch_mgr_ = nullptr;
-  std::atomic<uint64_t> backoff_seed_{0x853c49e6748fea9bull};
-  obs::Counter* read_retries_total_ = nullptr;
-  obs::Counter* read_fallbacks_total_ = nullptr;
-  obs::Histogram* search_retried_latency_ = nullptr;
-  obs::Histogram* range_retried_latency_ = nullptr;
 };
 
 namespace internal {

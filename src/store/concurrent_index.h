@@ -1,80 +1,46 @@
 // ConcurrentIndex: a thread-safe facade over any MultiKeyIndex.
 //
 // The 1986 structures are single-writer by design; this wrapper makes
-// them usable from threaded services.  Writers always serialize on an
-// exclusive lock.  Readers come in two flavors:
-//  * the classic coarse-grained recipe — shared lock for Search and
-//    RangeSearch — for any MultiKeyIndex;
-//  * an optimistic lock-free path (default, BMEH-tree only): descend the
-//    published structure validating slot version words (even = stable,
-//    odd = write in progress), retry on conflict with bounded backoff,
-//    and fall back to the shared lock if contention persists.  Replaced
-//    nodes are retired through epoch-based reclamation, so readers never
-//    touch freed memory.  See arena.h / bmeh_olc_read.cc for the
-//    protocol and DESIGN.md §13 for the proof sketch.
-// The remaining locked path is write-preferring (same discipline as
-// BmehStore): mutators raise writers_pending_ for their whole exclusive
-// tenure and locked readers back off on capped timed sleeps, so fallback
-// churn can neither starve writers (glibc's rwlock prefers readers) nor
-// stage a futex thundering herd at release time.
+// them usable from threaded services.  Writers serialize on the
+// exclusive lock of an OptimisticReadPlane (src/store/read_plane.h),
+// which also owns the read protocol: a BmehTree index reads lock-free
+// unless it is degraded, and any other index reads under the plane's
+// write-preferring shared lock.
 //
 // Observability: construct with a MetricsRegistry to get per-operation
-// counters (`index_*_total`, plus `index_read_retries_total` and
-// `index_read_fallbacks_total` for the optimistic path) and latency
-// histograms (`search_latency_ns`, `insert_latency_ns`,
-// `delete_latency_ns`, `range_latency_ns`, and the retried-read splits
-// `search_retried_latency_ns` / `range_retried_latency_ns`) charged
+// counters (`index_*_total`, plus the plane's `index_read_retries_total`
+// and `index_read_fallbacks_total`) and latency histograms
+// (`search_latency_ns`, `insert_latency_ns`, `delete_latency_ns`,
+// `range_latency_ns`, and the plane's retried-read splits) charged
 // around every call, plus a sampled source for the structure stats and
-// the logical I/O counters.  The source samples through the epoch guard
-// with version validation — never through the writer-view accessors —
-// so snapshots stay safe alongside lock-free readers and one writer.
+// the logical I/O counters.
 
 #ifndef BMEH_STORE_CONCURRENT_INDEX_H_
 #define BMEH_STORE_CONCURRENT_INDEX_H_
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "src/common/backoff.h"
-#include "src/common/epoch.h"
 #include "src/core/bmeh_tree.h"
 #include "src/hashdir/multikey_index.h"
 #include "src/obs/metrics.h"
+#include "src/store/read_plane.h"
 
 namespace bmeh {
 
 /// \brief Thread-safe wrapper around a MultiKeyIndex (see file comment).
 class ConcurrentIndex {
  public:
-  /// Optimistic-read retry tuning: a conflict means a writer published
-  /// mid-descent, which lasts microseconds, so retries are quick and the
-  /// shared-lock fallback is only for pathological churn.
-  static constexpr int kReadAttempts = 4;
-
   /// \brief Takes ownership of `index`.  `metrics` (optional) must
-  /// outlive this object.  `optimistic_reads` enables the lock-free read
-  /// path when the index is a BmehTree (ignored otherwise).
+  /// outlive this object.
   explicit ConcurrentIndex(std::unique_ptr<MultiKeyIndex> index,
-                           obs::MetricsRegistry* metrics = nullptr,
-                           bool optimistic_reads = true)
+                           obs::MetricsRegistry* metrics = nullptr)
       : index_(std::move(index)) {
     BMEH_CHECK(index_ != nullptr);
-    if (optimistic_reads) {
-      auto* tree = dynamic_cast<BmehTree*>(index_.get());
-      if (tree != nullptr && !tree->degraded()) {
-        epoch_ = epoch::EpochManager::Global();
-        if (!tree->concurrent_reads_enabled()) {
-          tree->EnableConcurrentReads(epoch_);
-        }
-        tree_olc_ = tree;
-      }
+    if (auto* tree = dynamic_cast<BmehTree*>(index_.get())) {
+      plane_.Enable(tree);
     }
     if (metrics != nullptr) {
       metrics_ = metrics;
@@ -82,19 +48,14 @@ class ConcurrentIndex {
       searches_ = metrics->GetCounter("index_searches_total");
       deletes_ = metrics->GetCounter("index_deletes_total");
       ranges_ = metrics->GetCounter("index_ranges_total");
-      read_retries_ = metrics->GetCounter("index_read_retries_total");
-      read_fallbacks_ = metrics->GetCounter("index_read_fallbacks_total");
       insert_latency_ = metrics->GetHistogram("insert_latency_ns");
       search_latency_ = metrics->GetHistogram("search_latency_ns");
       delete_latency_ = metrics->GetHistogram("delete_latency_ns");
       range_latency_ = metrics->GetHistogram("range_latency_ns");
-      search_retried_latency_ =
-          metrics->GetHistogram("search_retried_latency_ns");
-      range_retried_latency_ =
-          metrics->GetHistogram("range_retried_latency_ns");
+      plane_.AttachMetrics(metrics, "index_");
       metrics_source_ = metrics->AddSource([this](obs::RegistrySnapshot* s) {
         IndexStructureStats stats;
-        SampleStatsForMetrics(&stats);
+        if (!plane_.SampleStats(&stats)) stats = Stats();
         s->gauges["index_records"] = static_cast<int64_t>(stats.records);
         s->gauges["index_data_pages"] =
             static_cast<int64_t>(stats.data_pages);
@@ -123,7 +84,7 @@ class ConcurrentIndex {
   Status Insert(const PseudoKey& key, uint64_t payload) {
     if (inserts_ != nullptr) inserts_->Inc();
     obs::ScopedLatency timer(insert_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     return index_->Insert(key, payload);
   }
 
@@ -136,7 +97,7 @@ class ConcurrentIndex {
   Status InsertBatch(std::span<const Record> records) {
     if (inserts_ != nullptr) inserts_->Inc(records.size());
     obs::ScopedLatency timer(insert_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status first;
     for (const Record& rec : records) {
       Status st = index_->Insert(rec.key, rec.payload);
@@ -148,49 +109,13 @@ class ConcurrentIndex {
   Result<uint64_t> Search(const PseudoKey& key) {
     if (searches_ != nullptr) searches_->Inc();
     obs::ScopedLatency timer(search_latency_);
-    if (tree_olc_ != nullptr) {
-      // Conflict-free pass reads no clock and touches no shared state;
-      // retry bookkeeping materializes on first conflict.
-      std::optional<Backoff> backoff;
-      uint64_t t0 = 0;
-      for (int attempt = 0;;) {
-        bool conflict = false;
-        bool unpinned = false;
-        Result<uint64_t> r = [&]() -> Result<uint64_t> {
-          epoch::Guard g(epoch_);
-          if (!g.pinned()) {
-            // All epoch reader slots taken: no reclamation protection, so
-            // the optimistic descent is unsafe.  Take the locked path.
-            unpinned = true;
-            return Status::Unavailable("epoch reader slots exhausted");
-          }
-          return tree_olc_->SearchOptimistic(key, &conflict);
-        }();
-        if (unpinned) break;
-        if (!conflict) {
-          if (attempt > 0 && search_retried_latency_ != nullptr) {
-            search_retried_latency_->Record(obs::MonotonicNanos() - t0);
-          }
-          return r;
-        }
-        if (read_retries_ != nullptr) read_retries_->Inc();
-        if (++attempt >= kReadAttempts) break;
-        if (!backoff.has_value()) {
-          if (search_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-          backoff.emplace(ReadRetryPolicy(), NextBackoffSeed());
-        }
-        SleepUs(backoff->NextDelayUs());  // Outside the guard.
-      }
-      if (read_fallbacks_ != nullptr) read_fallbacks_->Inc();
-    }
-    auto lock = LockShared();
-    return index_->Search(key);
+    return plane_.Search(key, [&] { return index_->Search(key); });
   }
 
   Status Delete(const PseudoKey& key) {
     if (deletes_ != nullptr) deletes_->Inc();
     obs::ScopedLatency timer(delete_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     return index_->Delete(key);
   }
 
@@ -200,7 +125,7 @@ class ConcurrentIndex {
   Status DeleteBatch(std::span<const PseudoKey> keys) {
     if (deletes_ != nullptr) deletes_->Inc(keys.size());
     obs::ScopedLatency timer(delete_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status first;
     for (const PseudoKey& key : keys) {
       Status st = index_->Delete(key);
@@ -212,149 +137,41 @@ class ConcurrentIndex {
   Status RangeSearch(const RangePredicate& pred, std::vector<Record>* out) {
     if (ranges_ != nullptr) ranges_->Inc();
     obs::ScopedLatency timer(range_latency_);
-    if (tree_olc_ != nullptr) {
-      std::optional<Backoff> backoff;
-      uint64_t t0 = 0;
-      for (int attempt = 0;;) {
-        bool conflict = false;
-        bool unpinned = false;
-        Status st = [&] {
-          epoch::Guard g(epoch_);
-          if (!g.pinned()) {  // Slots exhausted: take the locked path.
-            unpinned = true;
-            return Status::Unavailable("epoch reader slots exhausted");
-          }
-          return tree_olc_->RangeSearchOptimistic(pred, out, &conflict);
-        }();
-        if (unpinned) break;
-        if (!conflict) {
-          if (attempt > 0 && range_retried_latency_ != nullptr) {
-            range_retried_latency_->Record(obs::MonotonicNanos() - t0);
-          }
-          return st;
-        }
-        if (read_retries_ != nullptr) read_retries_->Inc();
-        if (++attempt >= kReadAttempts) break;
-        if (!backoff.has_value()) {
-          if (range_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-          backoff.emplace(ReadRetryPolicy(), NextBackoffSeed());
-        }
-        SleepUs(backoff->NextDelayUs());
-      }
-      if (read_fallbacks_ != nullptr) read_fallbacks_->Inc();
-    }
-    auto lock = LockShared();
-    return index_->RangeSearch(pred, out);
+    return plane_.Range(pred, out,
+                        [&] { return index_->RangeSearch(pred, out); });
   }
 
   IndexStructureStats Stats() const {
-    auto lock = LockShared();
+    auto lock = plane_.LockShared();
     return index_->Stats();
   }
 
   Status Validate() const {
-    auto lock = LockShared();
+    auto lock = plane_.LockShared();
     return index_->Validate();
   }
 
   const KeySchema& schema() const { return index_->schema(); }
 
   /// \brief True when reads go through the lock-free path.
-  bool optimistic_reads_enabled() const { return tree_olc_ != nullptr; }
+  bool optimistic_reads_enabled() const { return plane_.enabled(); }
 
  private:
-  /// RAII exclusive hold of mutex_ that keeps writers_pending_ raised for
-  /// the writer's whole tenure — acquisition wait AND hold — mirroring
-  /// BmehStore's write-preferring gate: glibc's rwlock prefers readers,
-  /// so a stream of shared-lock fallback readers could otherwise starve
-  /// writers indefinitely and pile up parked on the rwlock futex (whose
-  /// release then wakes the whole crowd before the writer can continue).
-  /// Only ever constructed as a prvalue from LockExclusive().
-  class ExclusiveLock {
-   public:
-    explicit ExclusiveLock(const ConcurrentIndex* c) : c_(c) {
-      c_->writers_pending_.fetch_add(1, std::memory_order_acquire);
-      lock_ = std::unique_lock<std::shared_mutex>(c_->mutex_);
-    }
-    ~ExclusiveLock() {
-      lock_.unlock();
-      c_->writers_pending_.fetch_sub(1, std::memory_order_release);
-    }
-    ExclusiveLock(ExclusiveLock&&) = delete;
-
-   private:
-    const ConcurrentIndex* c_;
-    std::unique_lock<std::shared_mutex> lock_;
-  };
-
-  ExclusiveLock LockExclusive() const { return ExclusiveLock(this); }
-
-  /// Write-preferring shared acquisition: back off on short capped timed
-  /// sleeps while any mutator is waiting or holding, so readers neither
-  /// starve writers nor park on the rwlock futex.  No livelock: the gate
-  /// drops the moment the last pending mutator releases.
-  std::shared_lock<std::shared_mutex> LockShared() const {
-    uint64_t park_us = 10;
-    while (writers_pending_.load(std::memory_order_acquire) > 0) {
-      SleepUs(park_us);
-      park_us = std::min<uint64_t>(park_us * 2, 1000);
-    }
-    return std::shared_lock<std::shared_mutex>(mutex_);
-  }
-
-  static BackoffPolicy ReadRetryPolicy() {
-    BackoffPolicy p;
-    p.max_attempts = kReadAttempts;
-    p.base_delay_us = 1;
-    p.max_delay_us = 100;
-    p.total_budget_us = 1000;
-    return p;
-  }
-
-  uint64_t NextBackoffSeed() {
-    return backoff_seed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Tree-shape sample for the metrics source.  With the lock-free path
-  /// on, this must NOT use the writer-view accessors: a concurrent
-  /// mutation's copy-on-write scope would race the sampler.  Sample the
-  /// published (immutable) structure under the epoch guard and version
-  /// validation, falling back to the locked Stats() if a commit keeps
-  /// interleaving.
-  void SampleStatsForMetrics(IndexStructureStats* out) const {
-    if (tree_olc_ != nullptr) {
-      epoch::Guard g(epoch_);
-      for (int attempt = 0; g.pinned() && attempt < kReadAttempts;
-           ++attempt) {
-        if (tree_olc_->SampleStatsOptimistic(out)) return;
-      }
-    }
-    *out = Stats();
-  }
-
   // Note: Search() mutates the underlying I/O counters, which is benign
   // from any thread because IoCounter is atomic; the registry source
   // above snapshots them likewise.
-  mutable std::shared_mutex mutex_;
-  mutable std::atomic<int> writers_pending_{0};
+  OptimisticReadPlane plane_;
   std::unique_ptr<MultiKeyIndex> index_;
-  BmehTree* tree_olc_ = nullptr;  // Non-null once lock-free reads are on.
-  epoch::EpochManager* epoch_ = nullptr;
-  std::atomic<uint64_t> backoff_seed_{0x9e3779b97f4a7c15ull};
   obs::MetricsRegistry* metrics_ = nullptr;
   uint64_t metrics_source_ = 0;
   obs::Counter* inserts_ = nullptr;
   obs::Counter* searches_ = nullptr;
   obs::Counter* deletes_ = nullptr;
   obs::Counter* ranges_ = nullptr;
-  obs::Counter* read_retries_ = nullptr;
-  obs::Counter* read_fallbacks_ = nullptr;
   obs::Histogram* insert_latency_ = nullptr;
   obs::Histogram* search_latency_ = nullptr;
   obs::Histogram* delete_latency_ = nullptr;
   obs::Histogram* range_latency_ = nullptr;
-  obs::Histogram* search_retried_latency_ = nullptr;
-  obs::Histogram* range_retried_latency_ = nullptr;
 };
 
 }  // namespace bmeh

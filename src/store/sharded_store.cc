@@ -1,19 +1,16 @@
 #include "src/store/sharded_store.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <queue>
 #include <sstream>
 #include <thread>
 
 #include "src/common/crc32.h"
+#include "src/common/fs.h"
 #include "src/obs/trace.h"
 
 namespace bmeh {
@@ -29,13 +26,6 @@ int Log2Exact(int n) {
   int bits = 0;
   while ((1 << bits) < n) ++bits;
   return bits;
-}
-
-bool PathExists(const std::string& path, bool* is_dir) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return false;
-  if (is_dir != nullptr) *is_dir = S_ISDIR(st.st_mode);
-  return true;
 }
 
 bool DirectoryIsEmptyExcept(const std::string& path,
@@ -71,12 +61,17 @@ Status ValidateShardCount(int shards, const KeySchema& schema) {
   return Status::OK();
 }
 
-/// The directory containing `path` ("." when `path` has no slash).
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
+/// Appends the crc seal to `body` and publishes it durably as
+/// `dir/name`.
+Status WriteSealedTextFile(const std::string& dir, const std::string& name,
+                           std::string body) {
+  char seal[32];
+  std::snprintf(seal, sizeof(seal), "crc %08x\n",
+                Crc32(body.data(), body.size()));
+  body += seal;
+  return WriteFileDurable(
+      dir, name,
+      std::span(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
 }
 
 uint64_t SplitMix64(uint64_t z) {
@@ -134,19 +129,9 @@ std::string ShardedStore::ShardPath(const std::string& dir, int shard_index) {
 
 Status ShardedStore::WriteManifest(const std::string& dir,
                                    const ShardManifest& manifest) {
-  bool is_dir = false;
-  if (!PathExists(dir, &is_dir)) {
-    if (::mkdir(dir.c_str(), 0755) != 0) {
-      return Status::IoError("cannot create " + dir + ": " +
-                             std::strerror(errno));
-    }
-    // Persist the new directory's own entry: a crash right after store
-    // creation must not lose the directory (and with it the manifest and
-    // every shard file) from its parent.
-    BMEH_RETURN_NOT_OK(SyncDirectory(ParentDir(dir)));
-  } else if (!is_dir) {
-    return Status::Invalid(dir + " exists and is not a directory");
-  }
+  // A crash right after store creation must not lose the directory (and
+  // with it the manifest and every shard file) from its parent.
+  BMEH_RETURN_NOT_OK(EnsureDir(dir));
   std::string body = std::string(kManifestMagic) + "\n";
   body += "shards " + std::to_string(manifest.shards) + "\n";
   body += "shard_bits " + std::to_string(manifest.shard_bits) + "\n";
@@ -157,36 +142,7 @@ Status ShardedStore::WriteManifest(const std::string& dir,
     body += " " + std::to_string(manifest.schema.width(j));
   }
   body += "\n";
-  char seal[32];
-  std::snprintf(seal, sizeof(seal), "crc %08x\n",
-                Crc32(body.data(), body.size()));
-  body += seal;
-
-  // Write-temp-then-rename so a crash never leaves a half-written
-  // manifest where Open() would read it.
-  const std::string final_path = dir + "/" + kManifestName;
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot write " + tmp_path);
-  }
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) ==
-                     body.size();
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " +
-                           std::strerror(errno));
-  }
-  // The rename is not durable until the directory itself is synced; a
-  // failure here is a real durability failure, not advisory.
-  return SyncDirectory(dir);
+  return WriteSealedTextFile(dir, kManifestName, std::move(body));
 }
 
 Result<ShardManifest> ShardedStore::ReadManifest(const std::string& dir) {
@@ -755,50 +711,6 @@ std::string ShardSetSubdir(int shard_index) {
   return name;
 }
 
-/// Appends the crc seal to `body` and publishes it as `dir/name` with
-/// the temp + fsync + rename + directory-fsync dance.
-Status WriteSealedTextFile(const std::string& dir, const std::string& name,
-                           std::string body) {
-  char seal[32];
-  std::snprintf(seal, sizeof(seal), "crc %08x\n",
-                Crc32(body.data(), body.size()));
-  body += seal;
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot write " + tmp_path);
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " +
-                           std::strerror(errno));
-  }
-  return SyncDirectory(dir);
-}
-
-Status EnsureDirExists(const std::string& dir) {
-  bool is_dir = false;
-  if (PathExists(dir, &is_dir)) {
-    if (!is_dir) {
-      return Status::Invalid(dir + " exists and is not a directory");
-    }
-    return Status::OK();
-  }
-  if (::mkdir(dir.c_str(), 0755) != 0) {
-    return Status::IoError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return SyncDirectory(ParentDir(dir));
-}
-
 }  // namespace
 
 Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
@@ -814,7 +726,7 @@ Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
                              " shards, store has " + std::to_string(n));
     }
   }
-  BMEH_RETURN_NOT_OK(EnsureDirExists(out_dir));
+  BMEH_RETURN_NOT_OK(EnsureDir(out_dir));
   if (PathExists(out_dir + "/" + kShardBackupManifestName, nullptr)) {
     return Status::AlreadyExists(out_dir +
                                  " already holds a sealed sharded backup");
@@ -1017,21 +929,10 @@ Result<ShardRestoreInfo> ShardedStore::Restore(const std::string& set_dir,
   // restore that was killed midway.  Restoring over leftovers must be an
   // explicit operator decision (remove the directory first), never a
   // silent merge.
-  bool dest_is_dir = false;
-  if (PathExists(dest_dir, &dest_is_dir)) {
-    if (!dest_is_dir) {
-      return Status::Invalid(dest_dir + " exists and is not a directory");
-    }
-    if (!DirectoryIsEmpty(dest_dir)) {
-      return Status::AlreadyExists(dest_dir +
-                                   " is not empty; remove it before restoring");
-    }
-  } else {
-    if (::mkdir(dest_dir.c_str(), 0755) != 0) {
-      return Status::IoError("cannot create " + dest_dir + ": " +
-                             std::strerror(errno));
-    }
-    BMEH_RETURN_NOT_OK(SyncDirectory(ParentDir(dest_dir)));
+  BMEH_RETURN_NOT_OK(EnsureDir(dest_dir));
+  if (!DirectoryIsEmpty(dest_dir)) {
+    return Status::AlreadyExists(dest_dir +
+                                 " is not empty; remove it before restoring");
   }
 
   ShardRestoreInfo info;

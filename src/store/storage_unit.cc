@@ -1,27 +1,12 @@
 #include "src/store/storage_unit.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include "src/common/fs.h"
+
 namespace bmeh {
-
-namespace {
-
-/// Fsyncs the directory containing `path` so a rename inside it is
-/// durable (the file-data fsync alone does not persist the direntry).
-/// Failures are sticky per directory — see SyncDirectory.
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  return SyncDirectory(dir);
-}
-
-}  // namespace
 
 std::string StorageUnit::ShardArchiveDir(const std::string& root,
                                          int shard_index) {
@@ -139,7 +124,7 @@ Status StorageUnit::Repair(ShardRepairReport* report) {
     SetDown(st);
     return st;
   }
-  st = SyncParentDir(path_);
+  st = SyncDirectory(ParentDir(path_));
   if (!st.ok()) {
     SetDown(st);
     return st;

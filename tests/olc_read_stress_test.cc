@@ -15,6 +15,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,8 @@
 #include "src/common/epoch.h"
 #include "src/common/random.h"
 #include "src/metrics/experiment.h"
+#include "src/pagestore/page_store.h"
+#include "src/store/bmeh_store.h"
 #include "src/store/concurrent_index.h"
 
 namespace bmeh {
@@ -168,23 +172,67 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
   EXPECT_GT(snap.counter("index_ranges_total"), 0u);
 }
 
-TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
-  // Deterministic conflict: the commit hook parks the writer mid-commit
-  // (publication seq odd) until a reader has charged at least one retry.
-  // A seqlock-validated RangeSearch in that window MUST conflict.
-  ScopedNoSleep no_sleep;
-  Harness h;
-  ASSERT_NE(h.tree, nullptr);
-  ASSERT_TRUE(h.index->Insert(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+// The two owners of an OptimisticReadPlane behind one interface, so the
+// deterministic conflict below runs against each: the tree-level
+// ConcurrentIndex and the durable BmehStore over in-memory pages.
+enum class PlaneOwner { kIndex, kStore };
 
-  obs::Counter* retries = h.registry.GetCounter("index_read_retries_total");
+struct OwnerHarness {
+  explicit OwnerHarness(PlaneOwner owner) {
+    if (owner == PlaneOwner::kIndex) {
+      Harness* h = &index_harness.emplace();
+      tree = h->tree;
+      registry = &h->registry;
+      return;
+    }
+    registry = &store_registry;
+    StoreOptions opts;
+    opts.metrics = registry;
+    auto opened = BmehStore::Open(std::make_unique<InMemoryPageStore>(), opts);
+    BMEH_CHECK(opened.ok());
+    store = std::move(opened).ValueOrDie();
+    tree = store->mutable_tree();
+  }
+
+  std::string prefix() const { return store != nullptr ? "store_" : "index_"; }
+  Status Insert(const PseudoKey& key, uint64_t payload) {
+    return store != nullptr ? store->Put(key, payload)
+                            : index_harness->index->Insert(key, payload);
+  }
+  Status Range(std::vector<Record>* out) {
+    const RangePredicate all(KeySchema(2, 31));
+    return store != nullptr ? store->Range(all, out)
+                            : index_harness->index->RangeSearch(all, out);
+  }
+
+  std::optional<Harness> index_harness;
+  obs::MetricsRegistry store_registry;
+  std::unique_ptr<BmehStore> store;
+  obs::MetricsRegistry* registry = nullptr;
+  BmehTree* tree = nullptr;
+};
+
+class OlcReadPlaneTest : public ::testing::TestWithParam<PlaneOwner> {};
+
+TEST_P(OlcReadPlaneTest, RetryCounterAdvancesOnGuaranteedConflict) {
+  // Deterministic conflict: the commit hook parks the writer mid-commit
+  // (publication seq odd) until a reader has charged every retry.  A
+  // seqlock-validated range read in that window MUST conflict.
+  ScopedNoSleep no_sleep;
+  OwnerHarness h(GetParam());
+  ASSERT_NE(h.tree, nullptr);
+  ASSERT_TRUE(h.Insert(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+
+  const std::string prefix = h.prefix();
+  const auto want = static_cast<uint64_t>(OptimisticReadPlane::kReadAttempts);
+  obs::Counter* retries =
+      h.registry->GetCounter(prefix + "read_retries_total");
   std::atomic<bool> in_commit{false};
   h.tree->SetCommitHookForTesting([&] {
     in_commit.store(true, std::memory_order_release);
     // Park until the reader has burned every optimistic attempt (each
     // one conflicts while we hold the seq odd), which forces it onto the
     // shared-lock fallback.  Bounded: the reader needs no lock we hold.
-    const auto want = static_cast<uint64_t>(ConcurrentIndex::kReadAttempts);
     while (retries->value() < want) std::this_thread::yield();
   });
 
@@ -192,27 +240,33 @@ TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
     while (!in_commit.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    RangePredicate pred(h.index->schema());
     std::vector<Record> out;
     // Conflicts through every optimistic attempt (writer is parked until
-    // we charge a retry), then falls back to the shared lock, which waits
+    // we charge them all), then falls back to the shared lock, which waits
     // for the writer to finish — and still returns a coherent answer.
-    ASSERT_TRUE(h.index->RangeSearch(pred, &out).ok());
+    ASSERT_TRUE(h.Range(&out).ok());
     ASSERT_EQ(out.size(), 2u);
   });
 
-  ASSERT_TRUE(h.index->Insert(PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
+  ASSERT_TRUE(h.Insert(PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
   reader.join();
   h.tree->SetCommitHookForTesting(nullptr);
 
-  const auto snap = h.registry.Snapshot();
-  EXPECT_GE(snap.counter("index_read_retries_total"), 1u);
-  EXPECT_GE(snap.counter("index_read_fallbacks_total"), 1u);
-  const auto* retried = snap.histogram("range_retried_latency_ns");
+  const auto snap = h.registry->Snapshot();
+  EXPECT_GE(snap.counter(prefix + "read_retries_total"), want);
+  EXPECT_GE(snap.counter(prefix + "read_fallbacks_total"), 1u);
   // The fallback path (not a late success) served the read, so the
   // retried-success histogram may be empty; it must exist either way.
-  ASSERT_NE(retried, nullptr);
+  ASSERT_NE(snap.histogram("range_retried_latency_ns"), nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Owners, OlcReadPlaneTest,
+    ::testing::Values(PlaneOwner::kIndex, PlaneOwner::kStore),
+    [](const ::testing::TestParamInfo<PlaneOwner>& info) {
+      return info.param == PlaneOwner::kIndex ? "ConcurrentIndex"
+                                              : "BmehStore";
+    });
 
 TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {
   // Linearizability regression.  SplitPageGroup used to reuse the old

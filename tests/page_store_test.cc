@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "src/common/fs.h"
+
 namespace bmeh {
 namespace {
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <map>
 
+#include "src/common/fs.h"
 #include "src/obs/metrics.h"
 #include "src/workload/distributions.h"
 #include "tests/test_util.h"
@@ -191,6 +192,18 @@ TEST_F(ShardedStoreTest, CorruptManifestRefusesToOpen) {
   auto r = ShardedStore::Open(dir_, Opts(0));
   EXPECT_TRUE(r.status().IsCorruption()) << r.status();
   EXPECT_FALSE(ShardedStore::IsShardedDir(dir_));
+}
+
+TEST_F(ShardedStoreTest, ManifestFsyncFailureFailsOpenAndPublishesNothing) {
+  // An fsync failure (ENOSPC / EIO) on the fresh manifest must fail the
+  // open: renaming an unsynced MANIFEST into place would seal a routing
+  // contract that a crash can still tear.
+  internal::InjectFileSyncErrorsForTesting(1);
+  auto r = ShardedStore::Open(dir_, Opts(2));
+  internal::InjectFileSyncErrorsForTesting(0);
+  EXPECT_TRUE(r.status().IsIoError()) << r.status();
+  struct stat st;
+  EXPECT_NE(::stat((dir_ + "/MANIFEST").c_str(), &st), 0);
 }
 
 TEST_F(ShardedStoreTest, DoubleOpenIsRefusedPerShardFlock) {
