@@ -27,27 +27,14 @@ using hashdir::Ref;
 Status BmehTree::Delete(const PseudoKey& key) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
   MutationScope scope(this);
-  BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                        hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
-                                               &io_));
+  // The const writer view resolves the key without cloning anything into
+  // the copy-on-write shadow, so a miss leaves nothing to publish.
+  hashdir::WriterView view(nodes_, pages_, root_id_, &io_, &quarantined_);
+  std::vector<PathStep> path;
+  BMEH_RETURN_NOT_OK(hashdir::PointLookup(schema_, view, key, &path).status());
   const PathStep& leaf = path.back();
-  // Const view first: a mutable Get would clone the node into the
-  // copy-on-write shadow even on the not-found paths.
-  const Entry e = std::as_const(nodes_).Get(leaf.node_id)->at(leaf.tuple);
-  if (e.ref.is_nil()) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  if (quarantined_.count(e.ref.id) != 0) {
-    return Status::DataLoss("bucket for " + key.ToString() +
-                            " was lost to corruption");
-  }
-  if (!std::as_const(pages_).Get(e.ref.id)->Contains(key)) {
-    io_.CountDataRead();
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  DataPage* page = pages_.Get(e.ref.id);
-  io_.CountDataRead();
-  BMEH_RETURN_NOT_OK(page->Remove(key));
+  DataPage* page = pages_.Get(view.node().at(leaf.tuple).ref.id);
+  BMEH_CHECK_OK(page->Remove(key));
   io_.CountDataWrite();
   --records_;
   if (options_.merge_on_delete && !degraded()) {

@@ -1,100 +1,26 @@
-// Optimistic (lock-free) read path for the BMEH-tree.
-//
-// Readers descend the published structure without any lock, validating
-// slot versions hand-over-hand (see arena.h): trust an entry read from a
-// node only after re-checking that the node's slot version is unchanged,
-// and carry the already-validated child snapshot into the next level so a
-// republished parent/child pair can never be mixed.  Any instability is
-// reported as a conflict for the caller to retry with backoff; stale
-// objects stay dereferenceable because every reader runs under an
-// epoch::Guard and writers retire replaced objects instead of freeing
-// them in place.
+// Optimistic (lock-free) reads for the BMEH-tree.  Point lookups run the
+// shared descent core over hashdir::PublishedView (hand-over-hand slot
+// versions, src/hashdir/descent.h).  Range walks and stat samples touch
+// many slots, so they validate against the publication seqlock instead.
+// Either way instability is a conflict for the caller to retry.
 
-#include "src/common/bit_util.h"
 #include "src/core/bmeh_tree.h"
 #include "src/hashdir/range_walk.h"
 
 namespace bmeh {
 
 using hashdir::DirNode;
-using hashdir::Entry;
-using hashdir::IndexTuple;
-
-namespace {
-
-Status ConflictStatus() {
-  return Status::Unavailable("optimistic read conflict");
-}
-
-}  // namespace
 
 Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
                                             bool* conflict) {
   *conflict = false;
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  const uint32_t root = published_root_.load(std::memory_order_acquire);
-  uint32_t node_id = root;
-  hashdir::Arena<DirNode>::Snapshot cur = nodes_.Acquire(node_id);
-  if (cur.ptr == nullptr || (cur.version & 1) != 0) {
-    *conflict = true;
-    return ConflictStatus();
-  }
-  std::array<uint16_t, kMaxDims> consumed{};
-  const int max_levels = schema_.total_bits() + 2;
-  for (int level = 0; level < max_levels; ++level) {
-    // Compute the index tuple defensively: a stale snapshot can pair bit
-    // depths inconsistently, so over-deep paths are conflicts here rather
-    // than invariant violations.
-    IndexTuple t{};
-    for (int j = 0; j < schema_.dims(); ++j) {
-      if (consumed[j] + cur.ptr->depth(j) > schema_.width(j)) {
-        *conflict = true;
-        return ConflictStatus();
-      }
-      t[j] = static_cast<uint32_t>(
-          bit_util::ExtractBits(key.component(j), schema_.width(j),
-                                consumed[j], cur.ptr->depth(j)));
-    }
-    const Entry e = cur.ptr->at(t);
-    if (node_id != root) io_.CountDirRead();
-    if (!e.ref.is_node()) {
-      if (e.ref.is_nil()) {
-        if (nodes_.VersionOf(node_id) != cur.version) break;
-        return Status::KeyError("key " + key.ToString() + " not found");
-      }
-      if (quarantined_.count(e.ref.id) != 0) {
-        if (nodes_.VersionOf(node_id) != cur.version) break;
-        return Status::DataLoss("bucket for " + key.ToString() +
-                                " was lost to corruption");
-      }
-      const hashdir::Arena<DataPage>::Snapshot ps = pages_.Acquire(e.ref.id);
-      // Re-validate after acquiring the page: if the node is unchanged,
-      // the entry still addresses this page for this key's region, and
-      // the page object read below was current when its pointer loaded
-      // (the linearization point of this lookup).
-      if (nodes_.VersionOf(node_id) != cur.version) break;
-      if (ps.ptr == nullptr || (ps.version & 1) != 0) break;
-      io_.CountDataRead();
-      const auto payload = ps.ptr->Lookup(key);
-      if (!payload) {
-        return Status::KeyError("key " + key.ToString() + " not found");
-      }
-      return *payload;
-    }
-    const hashdir::Arena<DirNode>::Snapshot child = nodes_.Acquire(e.ref.id);
-    // Hand-over-hand: the parent re-check proves the entry (and thus this
-    // child snapshot) was current a moment ago; the snapshot stays usable
-    // afterwards because published objects are immutable.
-    if (nodes_.VersionOf(node_id) != cur.version) break;
-    if (child.ptr == nullptr || (child.version & 1) != 0) break;
-    for (int j = 0; j < schema_.dims(); ++j) {
-      consumed[j] = static_cast<uint16_t>(consumed[j] + e.h[j]);
-    }
-    node_id = e.ref.id;
-    cur = child;
-  }
-  *conflict = true;
-  return ConflictStatus();
+  hashdir::PublishedView view(
+      nodes_, pages_, published_root_.load(std::memory_order_acquire), &io_,
+      &quarantined_);
+  Result<uint64_t> found = hashdir::PointLookup(schema_, view, key);
+  *conflict = view.conflicted();
+  return found;
 }
 
 Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
@@ -108,7 +34,7 @@ Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
   const uint64_t s1 = pub_seq_.load(std::memory_order_acquire);
   if ((s1 & 1) != 0) {
     *conflict = true;
-    return ConflictStatus();
+    return hashdir::ConflictStatus();
   }
   const uint32_t root = published_root_.load(std::memory_order_acquire);
   const int max_level = schema_.total_bits() + 2;
@@ -153,7 +79,7 @@ Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
   if (torn || pub_seq_.load(std::memory_order_acquire) != s1) {
     out->resize(base);  // Discard the partial walk.
     *conflict = true;
-    return ConflictStatus();
+    return hashdir::ConflictStatus();
   }
   BMEH_RETURN_NOT_OK(st);
   if (lost_buckets > 0) {

@@ -88,52 +88,48 @@ Status BmehTree::InsertUnscoped(const PseudoKey& key, uint64_t payload) {
   // across restarts); recorded as one histogram sample on success.
   uint64_t split_ns = 0;
   for (int attempt = 0; attempt < kMaxInsertRestarts; ++attempt) {
-    BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                          hashdir::DescendToLeaf(schema_, nodes_, root_id_,
-                                                 key, &io_));
-    const PathStep& leaf = path.back();
+    hashdir::WriterView view(nodes_, pages_, root_id_, &io_, &quarantined_);
+    std::vector<PathStep> path;
+    BMEH_ASSIGN_OR_RETURN(const PathStep leaf,
+                          hashdir::Descend(schema_, view, key, &path));
     // Read the entry through the const view: a mutable Get would clone the
     // node into the copy-on-write shadow even when nothing changes.
-    const Entry e = std::as_const(nodes_).Get(leaf.node_id)->at(leaf.tuple);
-    if (e.ref.is_nil()) {
+    const Ref ref = view.node().at(leaf.tuple).ref;
+    uint32_t pid = ref.id;
+    if (ref.is_nil()) {
       // Paper's P = NIL branch: a fresh page serves the whole region.
-      const uint32_t pid = pages_.Create();
+      pid = pages_.Create();
       nodes_.Get(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Page(pid));
       io_.CountDirWrite();
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
-      io_.CountDataWrite();
-      ++records_;
-      if (split_ns != 0) split_latency_->Record(split_ns);
-      return Status::OK();
-    }
-    BMEH_DCHECK(e.ref.is_page());
-    if (quarantined_.count(e.ref.id) != 0) {
-      // The bucket's records were lost to corruption; inserting here could
-      // resurrect a key that is already (invisibly) present.
-      return Status::DataLoss("bucket for " + key.ToString() +
-                              " was lost to corruption");
-    }
-    const DataPage* page = std::as_const(pages_).Get(e.ref.id);
-    io_.CountDataRead();
-    if (page->Contains(key)) {
-      return Status::AlreadyExists("key " + key.ToString() +
-                                   " already present");
-    }
-    if (!page->full()) {
-      BMEH_CHECK_OK(pages_.Get(e.ref.id)->Insert({key, payload}));
-      io_.CountDataWrite();
-      ++records_;
-      if (split_ns != 0) split_latency_->Record(split_ns);
-      return Status::OK();
-    }
-    if (split_latency_ != nullptr) {
-      const uint64_t t0 = obs::MonotonicNanos();
-      BMEH_RETURN_NOT_OK(SplitLeafOnce(path));
-      split_ns += obs::MonotonicNanos() - t0;
-      if (split_ns == 0) split_ns = 1;  // clock too coarse; still a split
     } else {
-      BMEH_RETURN_NOT_OK(SplitLeafOnce(path));
+      if (view.Quarantined(pid)) {
+        // The bucket's records were lost to corruption; inserting here
+        // could resurrect a key that is already (invisibly) present.
+        return Status::DataLoss("bucket for " + key.ToString() +
+                                " was lost to corruption");
+      }
+      const DataPage* page = std::as_const(pages_).Get(pid);
+      io_.CountDataRead();
+      if (page->Contains(key)) {
+        return Status::AlreadyExists("key " + key.ToString() +
+                                     " already present");
+      }
+      if (page->full()) {
+        const uint64_t t0 =
+            split_latency_ != nullptr ? obs::MonotonicNanos() : 0;
+        BMEH_RETURN_NOT_OK(SplitLeafOnce(path));
+        if (split_latency_ != nullptr) {
+          split_ns += obs::MonotonicNanos() - t0;
+          if (split_ns == 0) split_ns = 1;  // clock too coarse; still a split
+        }
+        continue;
+      }
     }
+    BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
+    io_.CountDataWrite();
+    ++records_;
+    if (split_ns != 0) split_latency_->Record(split_ns);
+    return Status::OK();
   }
   return Status::CapacityError("insertion did not converge for " +
                                key.ToString());
@@ -141,26 +137,8 @@ Status BmehTree::InsertUnscoped(const PseudoKey& key, uint64_t payload) {
 
 Result<uint64_t> BmehTree::Search(const PseudoKey& key) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                        hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
-                                               &io_));
-  const PathStep& leaf = path.back();
-  const Entry& e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
-  if (e.ref.is_nil()) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  if (quarantined_.count(e.ref.id) != 0) {
-    // "Not found" would be a silent wrong answer: the key may well have
-    // been in the lost bucket.
-    return Status::DataLoss("bucket for " + key.ToString() +
-                            " was lost to corruption");
-  }
-  io_.CountDataRead();
-  auto payload = pages_.Get(e.ref.id)->Lookup(key);
-  if (!payload) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  return *payload;
+  hashdir::WriterView view(nodes_, pages_, root_id_, &io_, &quarantined_);
+  return hashdir::PointLookup(schema_, view, key);
 }
 
 std::vector<BmehLevelStats> BmehTree::DescribeLevels() const {

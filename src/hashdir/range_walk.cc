@@ -61,7 +61,9 @@ struct Walker {
     for (int j = 0; j < d; ++j) {
       const int w = schema->width(j);
       const int H = node->depth(j);
-      BMEH_DCHECK(consumed[j] + H <= w) << "directory deeper than key width";
+      if (consumed[j] + H > w) {
+        return Status::Corruption("range walk: path deeper than key width");
+      }
       L[j] = static_cast<uint32_t>(
           bit_util::ExtractBits(bounds.lo[j], w, consumed[j], H));
       U[j] = static_cast<uint32_t>(

@@ -31,42 +31,39 @@ Status MehTree::Insert(const PseudoKey& key, uint64_t payload) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
   const int max_attempts = 4 * schema_.total_bits() + 16;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                          hashdir::DescendToLeaf(schema_, nodes_, root_id_,
-                                                 key, &io_));
-    const PathStep& leaf = path.back();
+    hashdir::WriterView view(nodes_, pages_, root_id_, &io_, nullptr);
+    std::vector<PathStep> path;
+    BMEH_ASSIGN_OR_RETURN(const PathStep leaf,
+                          hashdir::Descend(schema_, view, key, &path));
     DirNode* node = nodes_.Get(leaf.node_id);
-    Entry& e = node->at(leaf.tuple);
-    if (e.ref.is_nil()) {
-      const uint32_t pid = pages_.Create();
+    const Ref ref = node->at(leaf.tuple).ref;
+    uint32_t pid = ref.id;
+    if (ref.is_nil()) {
+      pid = pages_.Create();
       node->SetGroupRef(leaf.tuple, Ref::Page(pid));
       io_.CountDirWrite();
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
-      io_.CountDataWrite();
-      ++records_;
-      return Status::OK();
+    } else {
+      const DataPage* page = pages_.Get(pid);
+      io_.CountDataRead();
+      if (page->Contains(key)) {
+        return Status::AlreadyExists("key " + key.ToString() +
+                                     " already present");
+      }
+      if (page->full()) {
+        BMEH_RETURN_NOT_OK(SplitLeafOnce(path));
+        continue;
+      }
     }
-    DataPage* page = pages_.Get(e.ref.id);
-    io_.CountDataRead();
-    if (page->Contains(key)) {
-      return Status::AlreadyExists("key " + key.ToString() +
-                                   " already present");
-    }
-    if (!page->full()) {
-      BMEH_CHECK_OK(page->Insert({key, payload}));
-      io_.CountDataWrite();
-      ++records_;
-      return Status::OK();
-    }
-    BMEH_RETURN_NOT_OK(SplitLeafOnce(path, key));
+    BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
+    io_.CountDataWrite();
+    ++records_;
+    return Status::OK();
   }
   return Status::CapacityError(
       "insertion did not converge for " + key.ToString());
 }
 
-Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path,
-                              const PseudoKey& key) {
-  (void)key;
+Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path) {
   const PathStep& leaf = path.back();
   DirNode* node = nodes_.Get(leaf.node_id);
   const Entry e = node->at(leaf.tuple);
@@ -112,36 +109,19 @@ Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path,
 
 Result<uint64_t> MehTree::Search(const PseudoKey& key) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                        hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
-                                               &io_));
-  const PathStep& leaf = path.back();
-  const Entry& e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
-  if (e.ref.is_nil()) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  io_.CountDataRead();
-  auto payload = pages_.Get(e.ref.id)->Lookup(key);
-  if (!payload) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  return *payload;
+  hashdir::WriterView view(nodes_, pages_, root_id_, &io_, nullptr);
+  return hashdir::PointLookup(schema_, view, key);
 }
 
 Status MehTree::Delete(const PseudoKey& key) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                        hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
-                                               &io_));
+  hashdir::WriterView view(nodes_, pages_, root_id_, &io_, nullptr);
+  std::vector<PathStep> path;
+  BMEH_RETURN_NOT_OK(hashdir::PointLookup(schema_, view, key, &path).status());
   const PathStep& leaf = path.back();
   DirNode* node = nodes_.Get(leaf.node_id);
-  const Entry e = node->at(leaf.tuple);
-  if (e.ref.is_nil()) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  DataPage* page = pages_.Get(e.ref.id);
-  io_.CountDataRead();
-  BMEH_RETURN_NOT_OK(page->Remove(key));
+  DataPage* page = pages_.Get(node->at(leaf.tuple).ref.id);
+  BMEH_CHECK_OK(page->Remove(key));
   io_.CountDataWrite();
   --records_;
   if (options_.merge_on_delete) {

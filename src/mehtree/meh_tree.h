@@ -46,10 +46,9 @@ class MehTree : public MultiKeyIndex {
   const hashdir::NodeArena& nodes() const { return nodes_; }
 
  private:
-  /// Performs one structural change toward making room for `key`'s page;
-  /// the caller re-descends and retries.
-  Status SplitLeafOnce(const std::vector<hashdir::PathStep>& path,
-                       const PseudoKey& key);
+  /// Performs one structural change toward making room at the leaf of
+  /// `path`; the caller re-descends and retries.
+  Status SplitLeafOnce(const std::vector<hashdir::PathStep>& path);
 
   /// Buddy-merge cleanup after a deletion along `path`, cascading upward
   /// (reversal of the top-down growth).

@@ -1,6 +1,7 @@
 #include "src/store/frozen_tree.h"
 
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 
 #include "src/hashdir/descent.h"
@@ -10,7 +11,6 @@ namespace bmeh {
 
 using hashdir::DirNode;
 using hashdir::Entry;
-using hashdir::IndexTuple;
 using hashdir::Ref;
 using hashdir::RefKind;
 
@@ -288,33 +288,40 @@ Result<DataPage> FrozenBmehTree::FetchDataPage(PageId page) {
                                r.tail());
 }
 
+/// The frozen image as a node source for hashdir::Descend: the root is
+/// pinned, everything below it is fetched through the pool and decoded.
+class FrozenBmehTree::View {
+ public:
+  explicit View(FrozenBmehTree* tree)
+      : tree_(tree), node_(tree->root_.get()) {}
+
+  uint32_t root() const { return tree_->root_page_; }
+  const DirNode& node() const { return *node_; }
+  Status Visit(uint32_t id, bool is_root) {
+    if (is_root) return Status::OK();
+    BMEH_ASSIGN_OR_RETURN(DirNode next, tree_->FetchNode(id));
+    node_ = &owned_.emplace(std::move(next));
+    return Status::OK();
+  }
+  Status Malformed(const char* what) const { return Status::Corruption(what); }
+  Status Validate() const { return Status::OK(); }
+  bool Quarantined(uint32_t) const { return false; }
+  Result<const DataPage*> Page(uint32_t id) {
+    BMEH_ASSIGN_OR_RETURN(DataPage page, tree_->FetchDataPage(id));
+    return &page_.emplace(std::move(page));
+  }
+
+ private:
+  FrozenBmehTree* tree_;
+  const DirNode* node_;
+  std::optional<DirNode> owned_;
+  std::optional<DataPage> page_;
+};
+
 Result<uint64_t> FrozenBmehTree::Search(const PseudoKey& key) {
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  const DirNode* node = root_.get();
-  std::unique_ptr<DirNode> current;
-  std::array<uint16_t, kMaxDims> consumed{};
-  for (int level = 0; level <= levels_; ++level) {
-    IndexTuple t = hashdir::TupleInNode(schema_, *node, key, consumed);
-    const Entry e = node->at(t);
-    if (e.ref.is_nil()) {
-      return Status::KeyError("key " + key.ToString() + " not found");
-    }
-    if (e.ref.is_page()) {
-      BMEH_ASSIGN_OR_RETURN(DataPage page, FetchDataPage(e.ref.id));
-      auto payload = page.Lookup(key);
-      if (!payload) {
-        return Status::KeyError("key " + key.ToString() + " not found");
-      }
-      return *payload;
-    }
-    for (int j = 0; j < schema_.dims(); ++j) {
-      consumed[j] = static_cast<uint16_t>(consumed[j] + e.h[j]);
-    }
-    BMEH_ASSIGN_OR_RETURN(DirNode next, FetchNode(e.ref.id));
-    current = std::make_unique<DirNode>(std::move(next));
-    node = current.get();
-  }
-  return Status::Corruption("frozen tree deeper than its recorded height");
+  View view(this);
+  return hashdir::PointLookup(schema_, view, key);
 }
 
 Status FrozenBmehTree::RangeSearch(const RangePredicate& pred,

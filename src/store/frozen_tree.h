@@ -62,6 +62,7 @@ class FrozenBmehTree {
   BufferPool* mutable_pool() { return pool_.get(); }
 
  private:
+  class View;  // Node source for hashdir::Descend (frozen_tree.cc).
   FrozenBmehTree(PageStore* store, const KeySchema& schema,
                  int page_capacity, int levels, uint64_t records,
                  PageId root_page, int pool_pages);

@@ -42,11 +42,12 @@ fi
 OUT=$("$CLI" range --db "$DB" --d0 0..2000 --d1 0..2000)
 echo "$OUT" | grep -q "(123, 456) -> 999" || fail "range did not find the key"
 
-# delete, then get must fail
+# delete, then get must fail, naming the key it missed
 "$CLI" del --db "$DB" --key 123,456 > /dev/null
-if "$CLI" get --db "$DB" --key 123,456 > /dev/null 2>&1; then
+if OUT=$("$CLI" get --db "$DB" --key 123,456 2>&1); then
   fail "get after delete should fail"
 fi
+echo "$OUT" | grep -q "(123, 456)" || fail "get miss did not name the key"
 
 # dot output is a digraph
 OUT=$("$CLI" dot --db "$DB")

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
+#include "src/common/epoch.h"
 #include "src/workload/distributions.h"
 
 namespace bmeh {
@@ -190,6 +192,104 @@ TEST(FrozenTreeTest, TooSmallPagesFailCleanly) {
   InMemoryPageStore store(64);  // far too small for b=64 data pages
   auto meta = FrozenBmehTree::Freeze(*built.tree, &store);
   EXPECT_TRUE(meta.status().IsCapacityError()) << meta.status();
+}
+
+TEST(FrozenTreeTest, EveryPointPathGivesTheSameAnswerAndCharges) {
+  // Search, SearchOptimistic and the frozen image run one descent core
+  // over three node sources.  They must answer every key alike, and the
+  // two live paths must charge the same logical reads.
+  epoch::EpochManager epochs;
+  Built built = BuildTree(3000, 21);
+  InMemoryPageStore store(4096);
+  auto meta = FrozenBmehTree::Freeze(*built.tree, &store);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  auto frozen = FrozenBmehTree::Open(&store, *meta, /*pool_pages=*/64);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+  built.tree->EnableConcurrentReads(&epochs);
+
+  std::vector<PseudoKey> probes;
+  for (size_t i = 0; i < built.keys.size(); i += 5) {
+    probes.push_back(built.keys[i]);
+  }
+  const std::vector<PseudoKey> absent = workload::GenerateAbsentKeys(
+      workload::WorkloadSpec{.seed = 21}, 300, built.keys);
+  probes.insert(probes.end(), absent.begin(), absent.end());
+
+  int hits = 0;
+  for (const PseudoKey& key : probes) {
+    const IoStats s0 = built.tree->io_stats();
+    const Result<uint64_t> live = built.tree->Search(key);
+    const IoStats s1 = built.tree->io_stats();
+    bool conflict = true;
+    const Result<uint64_t> olc = [&] {
+      epoch::Guard guard(&epochs);
+      return built.tree->SearchOptimistic(key, &conflict);
+    }();
+    const IoStats s2 = built.tree->io_stats();
+    const Result<uint64_t> cold = (*frozen)->Search(key);
+
+    ASSERT_FALSE(conflict) << key.ToString();
+    EXPECT_EQ(live.status().code(), olc.status().code()) << key.ToString();
+    EXPECT_EQ(live.status().code(), cold.status().code()) << key.ToString();
+    if (live.ok() && olc.ok() && cold.ok()) {
+      ++hits;
+      EXPECT_EQ(*live, *olc);
+      EXPECT_EQ(*live, *cold);
+    } else {
+      EXPECT_TRUE(live.status().IsKeyError()) << live.status();
+    }
+    EXPECT_EQ(s1.dir_reads - s0.dir_reads, s2.dir_reads - s1.dir_reads);
+    EXPECT_EQ(s1.data_reads - s0.data_reads, s2.data_reads - s1.data_reads);
+  }
+  EXPECT_EQ(hits, static_cast<int>(probes.size() - absent.size()));
+}
+
+TEST(FrozenTreeTest, NodeDeeperThanItsPathIsCorruption) {
+  // A decodable node page whose depths overrun the key bits left on its
+  // path must come back as Corruption from both read paths instead of
+  // reaching the bit extraction with a negative shift.  Narrow keys keep
+  // such a node small enough for one page.
+  KeySchema schema(2, 4);
+  BmehTree tree(schema, TreeOptions::Make(2, /*b=*/8, /*phi=*/2));
+  for (uint32_t x = 0; x < 16; ++x) {
+    for (uint32_t y = 0; y < 16; ++y) {
+      ASSERT_TRUE(tree.Insert(PseudoKey({x, y}), x * 16 + y).ok());
+    }
+  }
+  ASSERT_GE(tree.height(), 2);
+  InMemoryPageStore store(4096);
+  auto meta = FrozenBmehTree::Freeze(tree, &store);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  auto frozen = FrozenBmehTree::Open(&store, *meta, /*pool_pages=*/8);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+
+  // A node page (docs/FORMATS.md): type 1, a u16 count of growth events,
+  // one dimension byte per event, then a {kind, id, h[d], m} record per
+  // entry (all zero: NIL).  Four doublings per dimension consume every
+  // key bit, so the node is too deep anywhere below the root.
+  std::vector<uint8_t> too_deep(store.page_size(), 0);
+  const uint16_t events = 8;
+  too_deep[0] = 1;
+  std::memcpy(&too_deep[1], &events, sizeof(events));
+  for (int i = 0; i < events; ++i) {
+    too_deep[3 + i] = static_cast<uint8_t>(i % 2);
+  }
+  // The root was decoded and pinned by Open, so rewriting every node page
+  // leaves it intact and turns each child into the over-deep node.
+  std::vector<uint8_t> page(store.page_size());
+  int rewritten = 0;
+  for (PageId id = 0; id < store.total_page_count(); ++id) {
+    if (!store.Read(id, page).ok() || page[0] != 1) continue;
+    ASSERT_TRUE(store.Write(id, too_deep).ok());
+    ++rewritten;
+  }
+  ASSERT_GE(rewritten, 2);
+
+  const Status search = (*frozen)->Search(PseudoKey({5u, 9u})).status();
+  EXPECT_TRUE(search.IsCorruption()) << search;
+  std::vector<Record> out;
+  const Status range = (*frozen)->RangeSearch(RangePredicate(schema), &out);
+  EXPECT_TRUE(range.IsCorruption()) << range;
 }
 
 }  // namespace

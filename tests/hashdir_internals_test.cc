@@ -56,9 +56,22 @@ TEST(TupleInNodeTest, ExtractsAtConsumedOffsets) {
   std::array<uint16_t, kMaxDims> consumed{};
   consumed[0] = 1;
   consumed[1] = 0;
-  IndexTuple t = TupleInNode(schema, node, key, consumed);
+  IndexTuple t{};
+  ASSERT_TRUE(TupleInNode(schema, node, key, consumed, &t));
   EXPECT_EQ(t[0], 0b01u);
   EXPECT_EQ(t[1], 0b0u);
+  // Seven bits already consumed leave one: a depth-2 node is over-deep.
+  consumed[0] = 7;
+  EXPECT_FALSE(TupleInNode(schema, node, key, consumed, &t));
+}
+
+// Runs the shared descent core over the writer view, collecting the path.
+Status DescendPath(const KeySchema& schema, const NodeArena& nodes,
+                   uint32_t root, const PseudoKey& key, IoCounter* io,
+                   std::vector<PathStep>* path) {
+  PageArena pages(8);
+  WriterView view(nodes, pages, root, io, nullptr);
+  return Descend(schema, view, key, path).status();
 }
 
 TEST(DescendTest, StopsAtPageLevelEntry) {
@@ -73,19 +86,21 @@ TEST(DescendTest, StopsAtPageLevelEntry) {
 
   IoCounter io;
   // Key with leading dim-0 bit 0 descends into the child node.
-  auto left = DescendToLeaf(schema, nodes, root, PseudoKey({0u, 0u}), &io);
-  ASSERT_TRUE(left.ok());
-  ASSERT_EQ(left->size(), 2u);
-  EXPECT_EQ((*left)[0].node_id, root);
-  EXPECT_EQ((*left)[1].node_id, child);
-  EXPECT_EQ((*left)[1].consumed[0], 1) << "the entry's h was stripped";
+  std::vector<PathStep> left;
+  ASSERT_TRUE(
+      DescendPath(schema, nodes, root, PseudoKey({0u, 0u}), &io, &left).ok());
+  ASSERT_EQ(left.size(), 2u);
+  EXPECT_EQ(left[0].node_id, root);
+  EXPECT_EQ(left[1].node_id, child);
+  EXPECT_EQ(left[1].consumed[0], 1) << "the entry's h was stripped";
   EXPECT_EQ(io.stats().dir_reads, 1u) << "root read not charged";
 
   // Leading bit 1 ends at the root's page entry.
-  auto right =
-      DescendToLeaf(schema, nodes, root, PseudoKey({0x80u, 0u}), &io);
-  ASSERT_TRUE(right.ok());
-  EXPECT_EQ(right->size(), 1u);
+  std::vector<PathStep> right;
+  ASSERT_TRUE(
+      DescendPath(schema, nodes, root, PseudoKey({0x80u, 0u}), &io, &right)
+          .ok());
+  EXPECT_EQ(right.size(), 1u);
 }
 
 TEST(DescendTest, DanglingNodeIsCorruption) {
@@ -93,8 +108,11 @@ TEST(DescendTest, DanglingNodeIsCorruption) {
   NodeArena nodes(2);
   const uint32_t root = nodes.Create();
   nodes.Get(root)->at_address(0) = MakeEntry(Ref::Node(1234), 2);
-  auto r = DescendToLeaf(schema, nodes, root, PseudoKey({0u, 0u}), nullptr);
-  EXPECT_TRUE(r.status().IsCorruption()) << r.status();
+  IoCounter io;
+  std::vector<PathStep> path;
+  const Status st =
+      DescendPath(schema, nodes, root, PseudoKey({0u, 0u}), &io, &path);
+  EXPECT_TRUE(st.IsCorruption()) << st;
 }
 
 TEST(DescendTest, ZeroDepthCycleIsCaught) {
@@ -106,8 +124,35 @@ TEST(DescendTest, ZeroDepthCycleIsCaught) {
   const uint32_t b = nodes.Create();
   nodes.Get(a)->at_address(0) = MakeEntry(Ref::Node(b), 2);
   nodes.Get(b)->at_address(0) = MakeEntry(Ref::Node(a), 2);
-  auto r = DescendToLeaf(schema, nodes, a, PseudoKey({0u, 0u}), nullptr);
-  EXPECT_TRUE(r.status().IsCorruption()) << r.status();
+  IoCounter io;
+  std::vector<PathStep> path;
+  const Status st =
+      DescendPath(schema, nodes, a, PseudoKey({0u, 0u}), &io, &path);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+}
+
+TEST(DescendTest, PathDeeperThanKeyWidthIsCorruption) {
+  // The root strips 3 of dim 0's 4 bits; a child that indexes 2 more dim-0
+  // bits addresses past the key width.  Every view reports it as a status
+  // (the writer view: Corruption) instead of shifting by a negative count.
+  KeySchema schema(2, 4);
+  NodeArena nodes(2);
+  const uint32_t root = nodes.Create();
+  const uint32_t child = nodes.Create();
+  DirNode* r = nodes.Get(root);
+  for (int i = 0; i < 3; ++i) r->Double(0);
+  Entry e = MakeEntry(Ref::Node(child), 2);
+  e.h[0] = 3;
+  r->at_address(0) = e;
+  DirNode* c = nodes.Get(child);
+  c->Double(0);
+  c->Double(0);
+  IoCounter io;
+  std::vector<PathStep> path;
+  const Status st =
+      DescendPath(schema, nodes, root, PseudoKey({0u, 0u}), &io, &path);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(path.size(), 1u) << "the over-deep child is not a path step";
 }
 
 TEST(BoxOdometerTest, SingleCellBox) {

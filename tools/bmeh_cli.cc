@@ -291,7 +291,8 @@ int CmdGet(const Args& args) {
   PseudoKey key = ParseKey(args.Get("key"), tree->schema());
   auto r = tree->Search(key);
   if (!r.ok()) {
-    std::printf("%s\n", r.status().ToString().c_str());
+    std::printf("%s: %s\n", key.ToString().c_str(),
+                r.status().ToString().c_str());
     return 1;
   }
   std::printf("%s -> %llu\n", key.ToString().c_str(),
@@ -316,7 +317,7 @@ int CmdDel(const Args& args) {
   auto tree = Load(args.Get("db"));
   PseudoKey key = ParseKey(args.Get("key"), tree->schema());
   Status st = tree->Delete(key);
-  if (!st.ok()) Die(st.ToString());
+  if (!st.ok()) Die(key.ToString() + ": " + st.ToString());
   Save(tree.get(), args.Get("db"));
   std::printf("deleted %s\n", key.ToString().c_str());
   return 0;
