@@ -6,7 +6,9 @@
 // The instrumented variants run through a ConcurrentIndex with a
 // MetricsRegistry attached, so the run doubles as an overhead check for
 // the observability layer; the custom main() below writes the registry as
-// BENCH_micro_ops.json.  Set BMEH_BENCH_SMOKE=1 for the fast CI mode.
+// BENCH_micro_ops.json after a full run (not after --benchmark_list_tests
+// or a --benchmark_filter run).  Set BMEH_BENCH_SMOKE=1 for the fast CI
+// mode.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "bench/bench_common.h"
@@ -29,6 +32,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
 #include "src/store/concurrent_index.h"
+#include "src/store/sharded_store.h"
 
 namespace bmeh {
 
@@ -223,6 +227,107 @@ void BM_InstrumentedInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_InstrumentedInsert)->Arg(10000);
 
+/// A 4-shard ShardedStore over in-memory page stores, loaded with
+/// normally distributed keys (the paper's truncated normal, σ = 1/16 of
+/// the domain), plus query boxes that each match 100–1,000 rows.  Shared
+/// by the facade benchmarks below, built on first use.
+struct ShardedFixture {
+  static constexpr uint64_t kRecords = 100000;
+  static constexpr int kQueries = 256;
+
+  ShardedFixture() {
+    workload::WorkloadSpec spec;
+    spec.distribution = workload::Distribution::kNormal;
+    spec.seed = 43;
+    keys = workload::GenerateKeys(spec, kRecords);
+    ShardedStoreOptions options;
+    options.store.schema = KeySchema(2, 31);
+    options.store.tree = TreeOptions::Make(2, 16);
+    options.store.wal_sync_every = 1 << 20;
+    std::vector<std::unique_ptr<PageStore>> devices;
+    for (int i = 0; i < 4; ++i) {
+      devices.push_back(std::make_unique<InMemoryPageStore>());
+    }
+    store = ShardedStore::Open(std::move(devices), options).ValueOrDie();
+    WriteBatch batch;
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      batch.Put(keys[i], i);
+      if (batch.size() == 1000 || i + 1 == kRecords) {
+        BMEH_CHECK_OK(store->Write(batch));
+        batch = WriteBatch();
+      }
+    }
+    // A square box around a stored key, its side halved or doubled until
+    // the match count lands in [100, 1000].
+    Rng rng(12);
+    std::vector<Record> out;
+    while (boxes.size() < kQueries) {
+      const PseudoKey& c = keys[rng.Uniform(kRecords)];
+      uint64_t half = uint64_t{1} << 22;
+      for (int step = 0; step < 40; ++step) {
+        RangePredicate pred(store->schema());
+        for (int j = 0; j < 2; ++j) {
+          const uint64_t lo = c.component(j) > half ? c.component(j) - half : 0;
+          const uint64_t hi = std::min<uint64_t>(c.component(j) + half,
+                                                 (uint64_t{1} << 31) - 1);
+          pred.Constrain(j, static_cast<uint32_t>(lo),
+                         static_cast<uint32_t>(hi));
+        }
+        BMEH_CHECK_OK(store->Range(pred, &out));
+        if (out.size() < 100) {
+          half *= 2;
+        } else if (out.size() > 1000) {
+          half /= 2;
+        } else {
+          boxes.push_back(pred);
+          break;
+        }
+      }
+    }
+  }
+
+  static ShardedFixture& Get() {
+    static ShardedFixture fixture;
+    return fixture;
+  }
+
+  std::vector<PseudoKey> keys;
+  std::unique_ptr<ShardedStore> store;
+  std::vector<RangePredicate> boxes;
+};
+
+/// Point Get through the sharded facade: validation, ψ-prefix routing,
+/// the retry wrapper, and the owning shard's optimistic read.
+void BM_ShardedGet(benchmark::State& state) {
+  ShardedFixture& f = ShardedFixture::Get();
+  Rng rng(13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.store->Get(f.keys[rng.Uniform(ShardedFixture::kRecords)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardedGet);
+
+/// Range over a 100–1,000-row box through the sharded facade: every
+/// shard's walk plus putting the rows in global ψ order.
+void BM_ShardedRange(benchmark::State& state) {
+  ShardedFixture& f = ShardedFixture::Get();
+  std::vector<Record> out;
+  uint64_t rows = 0;
+  size_t q = 0;
+  for (auto _ : state) {
+    BMEH_CHECK_OK(f.store->Range(f.boxes[q], &out));
+    benchmark::DoNotOptimize(out.data());
+    rows += out.size();
+    q = (q + 1) % f.boxes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["rows_per_range"] = benchmark::Counter(
+      static_cast<double>(rows) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ShardedRange);
+
 void BM_ExtendibleHash1D(benchmark::State& state) {
   ExtendibleHashOptions opts;
   opts.page_capacity = 16;
@@ -348,6 +453,21 @@ void MeasureObsServerOverhead() {
       base, scraped, static_cast<unsigned long long>(scrapes), overhead_pct);
 }
 
+/// True unless the command line lists the benchmarks or filters them
+/// (google-benchmark treats an empty, "." or "all" filter as every one).
+bool FullRun(int argc, char** argv) {
+  const std::string filter = benchmark::GetBenchmarkFilter();
+  if (!filter.empty() && filter != "." && filter != "all") return false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--benchmark_list_tests") &&
+        !arg.ends_with("=false") && !arg.ends_with("=0")) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace bmeh
 
 // Custom main (instead of benchmark_main) so the run can export the
@@ -361,6 +481,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  // Only a full run measures the server overhead and rewrites the JSON: a
+  // listing or a filtered run would overwrite it with partial numbers.
+  if (!bmeh::FullRun(argc, argv)) return 0;
   bmeh::MeasureObsServerOverhead();
   bmeh::bench::WriteBenchJson(
       bmeh::bench::BenchOutPath("BENCH_micro_ops.json"),

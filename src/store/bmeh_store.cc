@@ -794,6 +794,7 @@ Status BmehStore::Range(const RangePredicate& pred,
   if (ranges_total_ != nullptr) ranges_total_->Inc();
   OpScope op("range", range_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
+  const size_t base = out != nullptr ? out->size() : 0;
   Status st = [&]() -> Status {
     Status walked =
         plane_.Range(pred, out, [&] { return tree_->RangeSearch(pred, out); });
@@ -805,7 +806,7 @@ Status BmehStore::Range(const RangePredicate& pred,
     }
     return walked;
   }();
-  if (out != nullptr) op.set_count(out->size());
+  if (out != nullptr) op.set_count(out->size() - base);
   op.set_status(st);
   return st;
 }

@@ -296,7 +296,12 @@ class BmehStore {
   /// \brief Batched delete convenience over Write() — same contract.
   Status DeleteBatch(std::span<const PseudoKey> keys);
 
-  /// \brief Partial-range query.
+  /// \brief Partial-range query.  Appends the matches to `out` (in no
+  /// particular order) and never touches what `out` held before the
+  /// call: an optimistic walk that conflicts, or is abandoned for the
+  /// locked fallback, removes only the rows it appended itself.
+  /// ShardedStore::Range collects every shard into one vector on this
+  /// contract.
   Status Range(const RangePredicate& pred, std::vector<Record>* out);
 
   /// \brief Writes a durable checkpoint (atomic superblock flip), fsyncs

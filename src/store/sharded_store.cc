@@ -3,9 +3,11 @@
 #include <dirent.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <queue>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -106,19 +108,24 @@ int ShardRouter::ShardOf(const PseudoKey& key, const KeySchema& schema,
 
 bool ShardRouter::PsiLess(const PseudoKey& a, const PseudoKey& b,
                           const KeySchema& schema) {
-  const int d = schema.dims();
-  int max_w = 0;
-  for (int j = 0; j < d; ++j) max_w = std::max(max_w, schema.width(j));
-  for (int t = 0; t < d * max_w; ++t) {
-    const int j = t % d;
-    const int i = t / d;
-    const int w = schema.width(j);
-    if (i >= w) continue;
-    const uint32_t ba = (a.component(j) >> (w - 1 - i)) & 1u;
-    const uint32_t bb = (b.component(j) >> (w - 1 - i)) & 1u;
-    if (ba != bb) return ba < bb;
+  // The first ψ digit where a and b differ is the most significant
+  // differing bit of some dimension.  That bit of dimension j sits in
+  // interleave round width(j) - 32 + clz(a_j ^ b_j); the earliest round
+  // decides, and within a round the lower dimension comes first.  The
+  // decided dimension's differing bit orders the keys.
+  int first_round = std::numeric_limits<int>::max();
+  bool less = false;
+  for (int j = 0; j < schema.dims(); ++j) {
+    const uint32_t x =
+        (a.component(j) ^ b.component(j)) & schema.max_component(j);
+    if (x == 0) continue;
+    const int round = schema.width(j) - 32 + std::countl_zero(x);
+    if (round < first_round) {
+      first_round = round;
+      less = (b.component(j) & std::bit_floor(x)) != 0;
+    }
   }
-  return false;
+  return less;
 }
 
 std::string ShardedStore::ShardPath(const std::string& dir, int shard_index) {
@@ -461,7 +468,9 @@ uint64_t ShardedStore::NextRetrySeed(int s) {
 
 Status ShardedStore::RunWithRetry(int s,
                                   const std::function<Status(BmehStore*)>& op) {
-  Backoff backoff(retry_, NextRetrySeed(s));
+  // Built at the first transient status only: nearly every operation
+  // succeeds on its first attempt and never needs a jitter source.
+  std::optional<Backoff> backoff;
   uint32_t retries = 0;
   uint64_t backoff_total_ns = 0;
   for (;;) {
@@ -479,7 +488,10 @@ Status ShardedStore::RunWithRetry(int s,
     }
     // The Ref (and its shared lock) is released before any sleep: a
     // repair must never wait on a sleeping retrier.
-    if (!backoff.ShouldRetry(st)) {
+    if (!backoff.has_value() && st.IsTransient()) {
+      backoff.emplace(retry_, NextRetrySeed(s));
+    }
+    if (!backoff.has_value() || !backoff->ShouldRetry(st)) {
       if (retries > 0 && oplog_ != nullptr) {
         // One wide event for the whole retry episode — how many attempts
         // the op consumed and what it ultimately resolved to.
@@ -494,7 +506,7 @@ Status ShardedStore::RunWithRetry(int s,
       }
       return st;
     }
-    const uint64_t delay_us = backoff.NextDelayUs();
+    const uint64_t delay_us = backoff->NextDelayUs();
     ++retries;
     if (retries_total_ != nullptr) retries_total_->Inc();
     {
@@ -611,19 +623,21 @@ Status ShardedStore::Range(const RangePredicate& pred,
                            std::vector<Record>* out, bool* partial) {
   out->clear();
   if (partial != nullptr) *partial = false;
-  std::vector<std::vector<Record>> per(units_.size());
   bool data_loss = false;
   int down = 0;
-  size_t total = 0;
+  // Shards own contiguous ψ ranges in index order (the routing prefix is
+  // the most significant ψ digits), so appending each shard's matches,
+  // sorted, in shard order yields the global ψ order.
   for (size_t s = 0; s < units_.size(); ++s) {
+    const size_t base = out->size();
     Status st = RunWithRetry(static_cast<int>(s), [&](BmehStore* store) {
-      per[s].clear();
-      return store->Range(pred, &per[s]);
+      out->resize(base);  // Drop a failed attempt's rows.
+      return store->Range(pred, out);
     });
     if (st.IsUnavailable()) {
       // Keep collecting: the healthy shards' matches are still owed to
       // the caller, and the final status reports the partiality.
-      per[s].clear();
+      out->resize(base);
       ++down;
       continue;
     }
@@ -631,41 +645,14 @@ Status ShardedStore::Range(const RangePredicate& pred,
       // Same: a degraded shard returns its surviving matches.
       data_loss = true;
     } else if (!st.ok()) {
+      out->clear();
       return st;
     }
-    // A shard returns its matches unordered; sort each by ψ so the
-    // cursors below emit it in order.
-    std::sort(per[s].begin(), per[s].end(),
+    // A shard returns its matches unordered.
+    std::sort(out->begin() + static_cast<std::ptrdiff_t>(base), out->end(),
               [this](const Record& a, const Record& b) {
                 return ShardRouter::PsiLess(a.key, b.key, schema_);
               });
-    total += per[s].size();
-  }
-
-  // Ordered k-way merge across the shard cursors.  Shards own contiguous
-  // ψ ranges (the routing prefix is the most significant digits), so the
-  // merge preserves global ψ order across shard boundaries; it stays a
-  // real merge rather than a concatenation so the invariant holds even
-  // for exotic predicates or future non-prefix routers.
-  struct Cursor {
-    size_t shard;
-    size_t pos;
-  };
-  auto later = [&](const Cursor& x, const Cursor& y) {
-    return ShardRouter::PsiLess(per[y.shard][y.pos].key,
-                                per[x.shard][x.pos].key, schema_);
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(later)> heap(
-      later);
-  for (size_t s = 0; s < per.size(); ++s) {
-    if (!per[s].empty()) heap.push({s, 0});
-  }
-  out->reserve(total);
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    out->push_back(per[c.shard][c.pos]);
-    if (++c.pos < per[c.shard].size()) heap.push(c);
   }
   if (down > 0) {
     // Unavailable outranks DataLoss: it is retryable (the shard may come

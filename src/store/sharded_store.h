@@ -14,9 +14,9 @@
 //    crashed shard recovers on its own while its siblings' committed
 //    data is untouched;
 //  * because the routing prefix is the most significant ψ digits, every
-//    shard owns one contiguous ψ range, and Range() can merge the
-//    per-shard results with an ordered k-way cursor merge that
-//    preserves global ψ order across shard boundaries.
+//    shard owns one contiguous ψ range and shard index is monotone in ψ,
+//    so Range() sorts each shard's matches and concatenates them in
+//    shard order to get global ψ order across shard boundaries.
 //
 // On disk a sharded store is a directory:
 //
@@ -62,6 +62,8 @@ struct ShardRouter {
 
   /// \brief Strict weak order by the full interleaved ψ digit string —
   /// the z-order the shards partition, and the order Range() returns.
+  /// O(d): each dimension's highest differing bit names the interleave
+  /// round it falls in, and the earliest round decides.
   static bool PsiLess(const PseudoKey& a, const PseudoKey& b,
                       const KeySchema& schema);
 };
@@ -225,12 +227,12 @@ class ShardedStore {
   Status DeleteBatch(std::span<const PseudoKey> keys);
 
   /// \brief Partial-range query over all shards.  The result is in
-  /// global ψ (z-)order: each shard's matches are sorted by ψ and the
-  /// per-shard cursors k-way merged — since shards own contiguous ψ
-  /// ranges the merge preserves order across shard boundaries.  Shards
-  /// with no matches contribute nothing.  Partiality is never silent:
-  /// when a shard is unavailable the surviving matches are still merged
-  /// into `out`, `*partial` (if given) is set, and the status is
+  /// global ψ (z-)order by per-shard sort + concatenation in shard
+  /// order: prefix routing makes shard index monotone in ψ, so shard s's
+  /// sorted matches all precede shard s+1's.  Shards with no matches
+  /// contribute nothing.  Partiality is never silent: when a shard is
+  /// unavailable the surviving matches are still returned in
+  /// `out`, `*partial` (if given) is set, and the status is
   /// kUnavailable; DataLoss from a degraded shard is reported the same
   /// way after all shards were collected.  Unavailable outranks DataLoss
   /// when both apply.
@@ -363,12 +365,15 @@ class ShardedStore {
   /// Runs `op` against shard `s` under the facade retry policy: borrow
   /// the unit (kUnavailable when down/repairing), invoke, and on a
   /// transient status sleep a jittered backoff delay and try again until
-  /// the policy's attempt/budget bound.  Wait time is charged to the
-  /// store_retry_backoff_ns histogram.
+  /// the policy's attempt/budget bound.  The Backoff (and its seed) is
+  /// made at the first transient status, so a first-try success costs
+  /// no RNG.  Wait time is charged to the store_retry_backoff_ns
+  /// histogram.
   Status RunWithRetry(int s, const std::function<Status(BmehStore*)>& op);
 
-  /// Deterministic per-call seed for the backoff jitter (SplitMix64 of a
-  /// global sequence number and the shard index).
+  /// Deterministic per-episode seed for the backoff jitter (SplitMix64 of
+  /// a global sequence number and the shard index), drawn only when an
+  /// operation first needs to retry.
   uint64_t NextRetrySeed(int s);
 
   std::vector<std::unique_ptr<StorageUnit>> units_;

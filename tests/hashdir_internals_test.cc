@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/hashdir/descent.h"
 #include "src/hashdir/range_walk.h"
 
@@ -153,6 +156,92 @@ TEST(DescendTest, PathDeeperThanKeyWidthIsCorruption) {
       DescendPath(schema, nodes, root, PseudoKey({0u, 0u}), &io, &path);
   EXPECT_TRUE(st.IsCorruption()) << st;
   EXPECT_EQ(path.size(), 1u) << "the over-deep child is not a path step";
+}
+
+// A published view that runs `before_child` once, just before the descent
+// visits its first non-root node: the reader has read the parent's entry
+// but not yet acquired the child.
+class PausingView : public PublishedView {
+ public:
+  using PublishedView::PublishedView;
+
+  std::function<void()> before_child;
+
+  Status Visit(uint32_t id, bool is_root) {
+    if (!is_root && before_child) {
+      auto pause = std::move(before_child);
+      before_child = nullptr;
+      pause();
+    }
+    return PublishedView::Visit(id, is_root);
+  }
+};
+
+TEST(PublishedViewTest, ChildRecycledUnderStaleParentIsAConflict) {
+  // The stale-parent hazard that only the parent re-check in
+  // PublishedView::Visit catches.  A reader reads the root's entry for
+  // `low` (→ node X) and then stalls.  Two commits land meanwhile: the
+  // first replaces X (X is tombstoned and freed at publish), the second
+  // recycles X's id for the node of the other half of the space.  Each
+  // commit obeys the fresh-id rule, yet X's slot now holds a valid,
+  // stable node for the wrong region: without the re-check the reader
+  // would find `low`'s bucket missing and answer KeyError for a present
+  // key.  The re-check sees the root's version moved and conflicts.
+  KeySchema schema(2, 8);
+  NodeArena nodes(2);
+  PageArena pages(4);
+  const PseudoKey low({0x10u, 0u});   // leading dim-0 bit 0
+  const PseudoKey high({0x90u, 0u});  // leading dim-0 bit 1
+  const uint32_t low_page = pages.Create();
+  const uint32_t high_page = pages.Create();
+  ASSERT_TRUE(pages.Get(low_page)->Insert({low, 1}).ok());
+  ASSERT_TRUE(pages.Get(high_page)->Insert({high, 2}).ok());
+  const uint32_t root = nodes.Create();
+  const uint32_t x = nodes.Create();
+  const uint32_t y = nodes.Create();
+  nodes.Get(x)->at_address(0) = MakeEntry(Ref::Page(low_page), 2);
+  nodes.Get(y)->at_address(0) = MakeEntry(Ref::Page(high_page), 2);
+  DirNode* r = nodes.Get(root);
+  r->Double(0);
+  r->SplitGroup(IndexTuple{}, 0, Ref::Node(x), Ref::Node(y));
+
+  // Re-points the root's entry for `half` at a new node whose only entry
+  // is `page`, and destroys the node it replaces: one commit.
+  std::vector<RetiredObject> retired;
+  auto replace_child = [&](uint32_t half, uint32_t page) -> uint32_t {
+    nodes.BeginScope();
+    const uint32_t fresh = nodes.Create();
+    nodes.Get(fresh)->at_address(0) = MakeEntry(Ref::Page(page), 2);
+    IndexTuple t{};
+    t[0] = half;
+    Entry e = nodes.Get(root)->at(t);
+    const uint32_t old = e.ref.id;
+    e.ref = Ref::Node(fresh);
+    nodes.Get(root)->at(t) = e;
+    nodes.Destroy(old);
+    nodes.PublishScope(&retired);
+    return fresh;
+  };
+
+  IoCounter io;
+  PausingView view(nodes, pages, root, &io, nullptr);
+  uint32_t recycled = 0;
+  view.before_child = [&] {
+    replace_child(0, low_page);                  // frees x
+    recycled = replace_child(1, high_page);      // reuses x for `high`
+  };
+  const Result<uint64_t> got = PointLookup(schema, view, low);
+  ASSERT_EQ(recycled, x) << "the second commit must recycle x's id";
+  EXPECT_TRUE(view.conflicted())
+      << "stale parent paired with a recycled child: " << got.status();
+  EXPECT_FALSE(got.ok());
+
+  // A fresh descent over the current structure finds both keys.
+  PublishedView fresh(nodes, pages, root, &io, nullptr);
+  EXPECT_EQ(PointLookup(schema, fresh, low).ValueOrDie(), 1u);
+  EXPECT_EQ(PointLookup(schema, fresh, high).ValueOrDie(), 2u);
+  EXPECT_FALSE(fresh.conflicted());
+  for (const RetiredObject& obj : retired) obj.deleter(obj.obj);
 }
 
 TEST(BoxOdometerTest, SingleCellBox) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <optional>
@@ -266,6 +267,93 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PlaneOwner>& info) {
       return info.param == PlaneOwner::kIndex ? "ConcurrentIndex"
                                               : "BmehStore";
+    });
+
+// Set once the parked commit below has returned; the sleep hook holds a
+// conflicted reader's retry until then, so its next optimistic attempt
+// runs against a quiescent tree and succeeds.
+std::atomic<bool> g_commit_returned{false};
+
+// Which path serves the Range that collides with a commit.
+enum class RangePath { kRetriedOptimistic, kLockedFallback };
+
+class StoreRangeAppendTest : public ::testing::TestWithParam<RangePath> {};
+
+TEST_P(StoreRangeAppendTest, CallerPrefixSurvivesAConflictedRange) {
+  // BmehStore::Range appends to `out` and, when an optimistic walk
+  // conflicts, drops only the rows that walk appended — the contract
+  // ShardedStore::Range builds its shard concatenation on.  A commit is
+  // parked with the publication seq odd until the reader has charged
+  // `want` conflicts: one, after which the reader's next optimistic
+  // attempt succeeds, or every attempt, which forces the locked fallback.
+  const bool fallback = GetParam() == RangePath::kLockedFallback;
+  g_commit_returned.store(false);
+  if (fallback) {
+    SetSleepHookForTesting([](uint64_t) {});
+  } else {
+    SetSleepHookForTesting([](uint64_t) {
+      while (!g_commit_returned.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  OwnerHarness h(PlaneOwner::kStore);
+  ASSERT_TRUE(h.Insert(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+
+  const uint64_t want =
+      fallback ? static_cast<uint64_t>(OptimisticReadPlane::kReadAttempts)
+               : 1;
+  obs::Counter* retries = h.registry->GetCounter("store_read_retries_total");
+  std::atomic<bool> in_commit{false};
+  h.tree->SetCommitHookForTesting([&] {
+    in_commit.store(true, std::memory_order_release);
+    while (retries->value() < want) std::this_thread::yield();
+  });
+
+  // Rows already in the caller's vector, for keys the store does not hold.
+  const std::vector<Record> prefix = {{PseudoKey({7u, 7u}), 77},
+                                      {PseudoKey({8u, 8u}), 88}};
+  std::vector<Record> out = prefix;
+  std::thread reader([&] {
+    while (!in_commit.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(h.Range(&out).ok());
+  });
+  ASSERT_TRUE(h.Insert(PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
+  g_commit_returned.store(true, std::memory_order_release);
+  reader.join();
+  h.tree->SetCommitHookForTesting(nullptr);
+  SetSleepHookForTesting(nullptr);
+
+  ASSERT_EQ(out.size(), prefix.size() + 2);
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    EXPECT_EQ(out[i].key, prefix[i].key);
+    EXPECT_EQ(out[i].payload, prefix[i].payload);
+  }
+  std::vector<Record> added(out.begin() + prefix.size(), out.end());
+  std::sort(added.begin(), added.end(),
+            [](const Record& a, const Record& b) { return a.key < b.key; });
+  EXPECT_EQ(added[0].key, PseudoKey({1u, 1u}));
+  EXPECT_EQ(added[1].key, PseudoKey({2u, 2u}));
+
+  const auto snap = h.registry->Snapshot();
+  EXPECT_GE(snap.counter("store_read_retries_total"), want);
+  if (fallback) {
+    EXPECT_GE(snap.counter("store_read_fallbacks_total"), 1u);
+  } else {
+    EXPECT_EQ(snap.counter("store_read_fallbacks_total"), 0u)
+        << "the retried optimistic attempt, not the fallback, must serve";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, StoreRangeAppendTest,
+    ::testing::Values(RangePath::kRetriedOptimistic,
+                      RangePath::kLockedFallback),
+    [](const ::testing::TestParamInfo<RangePath>& info) {
+      return info.param == RangePath::kLockedFallback ? "LockedFallback"
+                                                      : "RetriedOptimistic";
     });
 
 TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {

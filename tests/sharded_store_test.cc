@@ -105,7 +105,7 @@ TEST(ShardRouterTest, ShardIndexIsMonotoneInPsiOrder) {
       const int sy = ShardRouter::ShardOf(y, schema, 3);
       if (ShardRouter::PsiLess(x, y, schema)) {
         // Shards own contiguous ψ ranges: ψ order never decreases the
-        // shard index — the invariant the k-way range merge rests on.
+        // shard index — the invariant the range concatenation rests on.
         EXPECT_LE(sx, sy);
       } else {
         EXPECT_GE(sx, sy);
@@ -125,6 +125,73 @@ TEST(ShardRouterTest, PsiLessIsAStrictWeakOrder) {
       if (a == b) continue;
       EXPECT_NE(ShardRouter::PsiLess(keys[a], keys[b], schema),
                 ShardRouter::PsiLess(keys[b], keys[a], schema));
+    }
+  }
+}
+
+// Reference ψ order: walks the interleaved digit string one bit at a
+// time (dimension round-robin, MSB first, exhausted dimensions skipped).
+bool BitwisePsiLess(const PseudoKey& a, const PseudoKey& b,
+                    const KeySchema& schema) {
+  const int d = schema.dims();
+  int max_w = 0;
+  for (int j = 0; j < d; ++j) max_w = std::max(max_w, schema.width(j));
+  for (int t = 0; t < d * max_w; ++t) {
+    const int j = t % d;
+    const int i = t / d;
+    const int w = schema.width(j);
+    if (i >= w) continue;
+    const uint32_t ba = (a.component(j) >> (w - 1 - i)) & 1u;
+    const uint32_t bb = (b.component(j) >> (w - 1 - i)) & 1u;
+    if (ba != bb) return ba < bb;
+  }
+  return false;
+}
+
+TEST(ShardRouterTest, PsiLessMatchesBitwiseReference) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int d = 1 + static_cast<int>(rng.Uniform(kMaxDims));
+    std::vector<int> widths(d);
+    for (int& w : widths) w = 1 + static_cast<int>(rng.Uniform(32));
+    const KeySchema schema{std::span<const int>(widths)};
+    auto random_key = [&] {
+      std::vector<uint32_t> c(d);
+      for (int j = 0; j < d; ++j) {
+        c[j] = static_cast<uint32_t>(rng.Next64()) & schema.max_component(j);
+      }
+      return PseudoKey(std::span<const uint32_t>(c));
+    };
+    auto check = [&](const PseudoKey& a, const PseudoKey& b) {
+      ASSERT_EQ(ShardRouter::PsiLess(a, b, schema),
+                BitwisePsiLess(a, b, schema))
+          << a.ToString() << " vs " << b.ToString() << " in "
+          << schema.ToString();
+      ASSERT_EQ(ShardRouter::PsiLess(b, a, schema),
+                BitwisePsiLess(b, a, schema))
+          << b.ToString() << " vs " << a.ToString() << " in "
+          << schema.ToString();
+    };
+    for (int pair = 0; pair < 50; ++pair) {
+      const PseudoKey a = random_key();
+      check(a, a);  // equal keys
+      check(a, random_key());
+      // Keys one bit apart.
+      PseudoKey b = a;
+      const int j = static_cast<int>(rng.Uniform(d));
+      const int bit = static_cast<int>(rng.Uniform(schema.width(j)));
+      b.set_component(j, a.component(j) ^ (1u << bit));
+      check(a, b);
+      // Two dimensions differing in the same interleave round: the
+      // lower dimension's digit comes first in ψ and decides.
+      const int k = static_cast<int>(rng.Uniform(d));
+      const int round = static_cast<int>(
+          rng.Uniform(std::min(schema.width(j), schema.width(k))));
+      PseudoKey c = a;
+      c.set_component(j, a.component(j) ^ (1u << (schema.width(j) - 1 - round)));
+      c.set_component(k, c.component(k) ^ (1u << (schema.width(k) - 1 - round)));
+      check(a, c);
+      check(b, c);
     }
   }
 }
