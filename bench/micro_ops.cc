@@ -31,6 +31,8 @@
 #include "src/metrics/experiment.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
+#include "src/pagestore/page_store.h"
+#include "src/store/bmeh_store.h"
 #include "src/store/concurrent_index.h"
 #include "src/store/sharded_store.h"
 
@@ -187,6 +189,62 @@ void BM_BmehDelete(benchmark::State& state) {
   state.SetItemsProcessed(ops);
 }
 BENCHMARK(BM_BmehDelete)->Unit(benchmark::kMillisecond);
+
+/// A fresh BmehStore over an in-memory page store with optimistic reads
+/// on (the default), so every write runs in a copy-on-write scope and
+/// pays the WAL append and page checksums too.  BM_BmehDelete runs a bare
+/// tree outside any scope and never sees the copying.
+std::unique_ptr<BmehStore> MakeBenchStore() {
+  StoreOptions options;
+  options.schema = KeySchema(2, 31);
+  options.tree = TreeOptions::Make(2, 16);
+  BMEH_CHECK(options.optimistic_reads);
+  return BmehStore::Open(std::make_unique<InMemoryPageStore>(), options)
+      .ValueOrDie();
+}
+
+void BM_StorePut(benchmark::State& state) {
+  const uint64_t n = 20000;
+  static const auto keys = BenchKeys(n);
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = MakeBenchStore();
+    state.ResumeTiming();
+    for (uint64_t i = 0; i < n; ++i) {
+      BMEH_CHECK_OK(store->Put(keys[i], i));
+    }
+    ops += n;
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(ops);
+}
+BENCHMARK(BM_StorePut)->Unit(benchmark::kMillisecond);
+
+void BM_StoreDelete(benchmark::State& state) {
+  const uint64_t n = 20000;
+  static const auto keys = BenchKeys(n);
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = MakeBenchStore();
+    for (uint64_t i = 0; i < n; ++i) {
+      BMEH_CHECK_OK(store->Put(keys[i], i));
+    }
+    state.ResumeTiming();
+    for (uint64_t i = 0; i < n; ++i) {
+      BMEH_CHECK_OK(store->Delete(keys[i]));
+    }
+    ops += n;
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(ops);
+}
+BENCHMARK(BM_StoreDelete)->Unit(benchmark::kMillisecond);
 
 /// Exact-match search through the locked, metrics-charging facade: the
 /// delta against BM_Search/BMEHTree is the combined shared_mutex +

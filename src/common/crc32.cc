@@ -8,27 +8,49 @@ namespace {
 
 constexpr uint32_t kPoly = 0xedb88320u;  // reflected 0x04C11DB7
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic byte table, and
+// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// lookups fold eight input bytes at once.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
+  std::array<std::array<uint32_t, 256>, 8> t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr std::array<std::array<uint32_t, 256>, 8> kTables = MakeTables();
+
+// Little-endian load, whatever the host order (one mov on x86).
+uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+        kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+        kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = kTables[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -3,8 +3,11 @@
 // Used by the write-ahead log to detect torn or partially written records
 // after a crash: every WAL record carries the checksum of its body, and
 // replay stops at the first record whose checksum does not match.  The
-// implementation is a plain table-driven byte-at-a-time loop — WAL records
-// are tens of bytes, so there is nothing to win from slicing variants.
+// page store checksums every page it writes and verifies every page it
+// reads the same way, so whole 4 KiB pages go through here on each durable
+// write, checkpoint and recovery.  The implementation is slicing-by-8
+// (eight table lookups per eight input bytes, then a bytewise tail); its
+// output is bit-identical to the classic byte-at-a-time loop.
 
 #ifndef BMEH_COMMON_CRC32_H_
 #define BMEH_COMMON_CRC32_H_

@@ -12,6 +12,8 @@
 //   4. a root left with a single zero-depth entry pointing at a node is
 //      collapsed away, peeling one level off every path at once.
 
+#include <utility>
+
 #include "src/common/bit_util.h"
 #include "src/core/bmeh_tree.h"
 #include "src/hashdir/split_util.h"
@@ -48,46 +50,48 @@ Status BmehTree::Delete(const PseudoKey& key) {
   return Status::OK();
 }
 
-bool BmehTree::TryMergeNodeGroups(DirNode* parent, const IndexTuple& t) {
+int BmehTree::FindNodeMerge(const DirNode& parent,
+                            const IndexTuple& t) const {
   const int d = schema_.dims();
-  const Entry e = parent->at(t);
-  if (!e.ref.is_node()) return false;
+  const Entry e = parent.at(t);
+  if (!e.ref.is_node()) return -1;
 
   // Prefer reversing the recorded last-split dimension, but accept any
   // dimension whose buddy is a same-shape sibling node — node splits move
   // bits between levels, so the per-entry m alone cannot sequence the
   // reversal.
-  int m = -1;
-  Entry be;
   for (int tries = 0; tries < d; ++tries) {
     const int cand = (e.m + d - tries) % d;
     if (e.h[cand] == 0) continue;
-    const Entry cand_be = parent->at(parent->BuddyGroup(t, cand));
-    if (cand_be.h != e.h || !cand_be.ref.is_node() ||
-        cand_be.ref.id == e.ref.id) {
+    const Entry be = parent.at(parent.BuddyGroup(t, cand));
+    if (be.h != e.h || !be.ref.is_node() || be.ref.id == e.ref.id) {
       continue;
     }
     const DirNode* a = nodes_.Get(e.ref.id);
-    const DirNode* b = nodes_.Get(cand_be.ref.id);
+    const DirNode* b = nodes_.Get(be.ref.id);
     if (a->depth(cand) + 1 > options_.xi[cand]) continue;
     bool same_shape = true;
     for (int j = 0; j < d; ++j) {
       if (a->depth(j) != b->depth(j)) same_shape = false;
     }
-    if (!same_shape) continue;
-    m = cand;
-    be = cand_be;
-    break;
+    if (same_shape) return cand;
   }
-  if (m < 0) return false;
+  return -1;
+}
 
-  // Identify left (leading bit 0) and right halves.
+void BmehTree::MergeNodeGroups(DirNode* parent, const IndexTuple& t, int m) {
+  const int d = schema_.dims();
+  const Entry e = parent->at(t);
+  const Entry be = parent->at(parent->BuddyGroup(t, m));
+
+  // Identify left (leading bit 0) and right halves.  Both are destroyed
+  // below, so they are read through the const writer view.
   const int bitpos = parent->depth(m) - e.h[m];
   const bool t_is_right = (t[m] >> bitpos) & 1;
   const uint32_t left_id = t_is_right ? be.ref.id : e.ref.id;
   const uint32_t right_id = t_is_right ? e.ref.id : be.ref.id;
-  const DirNode* left = nodes_.Get(left_id);
-  const DirNode* right = nodes_.Get(right_id);
+  const DirNode* left = std::as_const(nodes_).Get(left_id);
+  const DirNode* right = std::as_const(nodes_).Get(right_id);
 
   const uint32_t merged_id = nodes_.Create();
   DirNode* merged = nodes_.Get(merged_id);
@@ -119,7 +123,6 @@ bool BmehTree::TryMergeNodeGroups(DirNode* parent, const IndexTuple& t) {
   // into a node holding a mergeable husk pair); tidy it recursively so
   // collapsed regions do not freeze in place.
   TidyNode(merged_id);
-  return true;
 }
 
 void BmehTree::TidyNode(uint32_t node_id) {
@@ -128,20 +131,30 @@ void BmehTree::TidyNode(uint32_t node_id) {
   // the quarantine marker.  (Delete already bypasses MergeAfterDelete
   // when degraded; this is the backstop for the force-split path.)
   if (degraded()) return;
-  DirNode* node = nodes_.Get(node_id);
+  // The sweep is read-only until it finds something to apply: it
+  // inspects through the const writer view, and the node (like any page)
+  // is copied into the shadow only by the merge or halving that edits it.
+  const hashdir::NodeArena& view = nodes_;
   bool changed = true;
   while (changed) {
     changed = false;
     std::vector<IndexTuple> reps;
-    node->ForEachGroup(
+    view.Get(node_id)->ForEachGroup(
         [&](const IndexTuple& rep, const Entry&) { reps.push_back(rep); });
     for (const IndexTuple& rep : reps) {
-      if (TryMergeNodeGroups(node, rep)) {
+      const DirNode& node = *view.Get(node_id);
+      const int m = FindNodeMerge(node, rep);
+      if (m >= 0) {
+        MergeNodeGroups(nodes_.Get(node_id), rep, m);
         changed = true;
         break;  // group layout changed; rescan
       }
+      if (!hashdir::PageGroupTidyPending(node, rep, pages_,
+                                         options_.page_capacity)) {
+        continue;
+      }
       const int merged = hashdir::MergeGroupCascade(
-          node, rep, &pages_, options_.page_capacity, &io_);
+          nodes_.Get(node_id), rep, &pages_, options_.page_capacity, &io_);
       if (merged > 0) {
         mutations_.page_merges += merged;
         changed = true;
@@ -149,8 +162,11 @@ void BmehTree::TidyNode(uint32_t node_id) {
       }
     }
   }
-  IndexTuple origin{};
-  mutations_.node_halvings += hashdir::HalveNodeCascade(node, &origin, &io_);
+  if (hashdir::HalvingPending(*view.Get(node_id))) {
+    IndexTuple origin{};
+    mutations_.node_halvings +=
+        hashdir::HalveNodeCascade(nodes_.Get(node_id), &origin, &io_);
+  }
 }
 
 void BmehTree::MergeAfterDelete(const std::vector<PathStep>& path) {
@@ -170,7 +186,7 @@ void BmehTree::MergeAfterDelete(const std::vector<PathStep>& path) {
 
 void BmehTree::CollapseRoot() {
   for (;;) {
-    DirNode* root = nodes_.Get(root_id_);
+    const DirNode* root = std::as_const(nodes_).Get(root_id_);
     if (root->entry_count() != 1) return;
     const Entry e = root->at_address(0);
     if (!e.ref.is_node()) return;

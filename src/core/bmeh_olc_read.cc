@@ -15,9 +15,8 @@ Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
                                             bool* conflict) {
   *conflict = false;
   BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  hashdir::PublishedView view(
-      nodes_, pages_, published_root_.load(std::memory_order_acquire), &io_,
-      &quarantined_);
+  hashdir::PublishedView view(nodes_, pages_, published_root_, &io_,
+                              &quarantined_);
   Result<uint64_t> found = hashdir::PointLookup(schema_, view, key);
   *conflict = view.conflicted();
   return found;

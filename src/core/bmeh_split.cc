@@ -21,6 +21,8 @@
 // recursively), so the directory remains a strict tree and the tree stays
 // perfectly height-balanced.
 
+#include <utility>
+
 #include "src/common/bit_util.h"
 #include "src/core/bmeh_tree.h"
 #include "src/hashdir/split_util.h"
@@ -35,7 +37,9 @@ using hashdir::Ref;
 
 Status BmehTree::SplitLeafOnce(const std::vector<PathStep>& path) {
   const PathStep& leaf = path.back();
-  DirNode* node = nodes_.Get(leaf.node_id);
+  // Read through the const writer view: a node split leaves this node to
+  // SplitNodeAt, so only the page split and the doubling below copy it.
+  const DirNode* node = std::as_const(nodes_).Get(leaf.node_id);
   const Entry e = node->at(leaf.tuple);
   BMEH_DCHECK(e.ref.is_page());
 
@@ -53,11 +57,12 @@ Status BmehTree::SplitLeafOnce(const std::vector<PathStep>& path) {
 
   if (e.h[m] < node->depth(m)) {
     ++mutations_.page_splits;
-    return hashdir::SplitPageGroup(schema_, node, leaf.tuple, m,
-                                   leaf.consumed, &pages_, &io_);
+    return hashdir::SplitPageGroup(schema_, nodes_.Get(leaf.node_id),
+                                   leaf.tuple, m, leaf.consumed, &pages_,
+                                   &io_);
   }
   if (node->depth(m) < options_.xi[m]) {
-    node->Double(m);
+    nodes_.Get(leaf.node_id)->Double(m);
     ++mutations_.node_doublings;
     io_.CountDirWrite();
     return Status::OK();
@@ -87,13 +92,13 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
   }
 
   const PathStep& pstep = path[level - 1];
-  DirNode* parent = nodes_.Get(pstep.node_id);
+  const DirNode* parent = std::as_const(nodes_).Get(pstep.node_id);
   const Entry pe = parent->at(pstep.tuple);
   BMEH_DCHECK(pe.ref == Ref::Node(node_id));
 
   if (pe.h[m] == parent->depth(m)) {
     if (parent->depth(m) < options_.xi[m]) {
-      parent->Double(m);
+      nodes_.Get(pstep.node_id)->Double(m);
       ++mutations_.node_doublings;
       io_.CountDirWrite();
       return Status::OK();
@@ -117,8 +122,9 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
   BMEH_ASSIGN_OR_RETURN(auto halves,
                         SplitNodeByLeadingBit(node_id, m,
                                               path[level].consumed));
-  parent->SplitGroup(pstep.tuple, m, Ref::Node(halves.first),
-                     Ref::Node(halves.second));
+  nodes_.Get(pstep.node_id)
+      ->SplitGroup(pstep.tuple, m, Ref::Node(halves.first),
+                   Ref::Node(halves.second));
   io_.CountDirWrite();
   // Canonicalize both halves so that a half left (nearly) empty by the
   // split does not freeze as an unreachable skeleton.  Safe with respect
@@ -149,7 +155,9 @@ uint64_t BmehTree::CountBalancedSplitNodes(uint32_t node_id, int m) const {
 Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
     uint32_t node_id, int m,
     const std::array<uint16_t, kMaxDims>& consumed) {
-  DirNode* node = nodes_.Get(node_id);
+  // The node is destroyed below; it is copied only when the spanning
+  // groups must be split in it first.
+  const DirNode* node = std::as_const(nodes_).Get(node_id);
   const int d = schema_.dims();
   ++mutations_.node_splits;
   io_.CountDirRead();
@@ -162,7 +170,7 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
       if (e.h[m] == 0) spanning.push_back(rep);
     });
     for (const IndexTuple& rep : spanning) {
-      const Entry e = node->at(rep);
+      const Entry e = std::as_const(nodes_).Get(node_id)->at(rep);
       std::pair<Ref, Ref> halves{Ref::Nil(), Ref::Nil()};
       if (!e.ref.is_nil()) {
         std::array<uint16_t, kMaxDims> child_consumed = consumed;
@@ -172,7 +180,7 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
         BMEH_ASSIGN_OR_RETURN(halves, ForceSplitChild(e.ref, m,
                                                       child_consumed));
       }
-      node->SplitGroup(rep, m, halves.first, halves.second);
+      nodes_.Get(node_id)->SplitGroup(rep, m, halves.first, halves.second);
     }
 
     // Partition the entries into two nodes by the leading i_m bit; each
@@ -181,7 +189,8 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
     // "local depth h_1 of every directory entry ... is decreased by one").
     const uint32_t left_id = nodes_.Create();
     const uint32_t right_id = nodes_.Create();
-    node = nodes_.Get(node_id);  // re-fetch: arena may have reallocated
+    // Re-read: the spanning-group splits went to this scope's copy.
+    node = std::as_const(nodes_).Get(node_id);
     DirNode* left = nodes_.Get(left_id);
     DirNode* right = nodes_.Get(right_id);
     ReplayShape(*node, m, left);
@@ -228,7 +237,6 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
   }
   const uint32_t left_id = nodes_.Create();
   const uint32_t right_id = nodes_.Create();
-  node = nodes_.Get(node_id);
   DirNode* left = nodes_.Get(left_id);
   DirNode* right = nodes_.Get(right_id);
   ReplayShape(*node, /*skip_dim=*/-1, left);

@@ -58,6 +58,12 @@ void BmehTree::CommitMutation() {
     pages_.CancelScope();
     return;
   }
+  if (cow_copied_ != nullptr) {
+    cow_copied_->Record(nodes_.scope_copies() + pages_.scope_copies());
+  }
+  if (cow_published_ != nullptr) {
+    cow_published_->Record(nodes_.scope_slots() + pages_.scope_slots());
+  }
   pub_seq_.fetch_add(1, std::memory_order_acq_rel);  // Odd: commit open.
   if (commit_hook_) commit_hook_();
   std::vector<hashdir::RetiredObject> retired;

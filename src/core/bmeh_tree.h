@@ -144,6 +144,16 @@ class BmehTree : public MultiKeyIndex {
     split_latency_ = hist;
   }
 
+  /// \brief Charges the copy-on-write work of each published commit:
+  /// `copied` gets the number of published nodes and pages the commit
+  /// cloned, `published` the number of slots it swung (clones, new
+  /// objects and tombstones).  Only commits under EnableConcurrentReads
+  /// copy anything.  Null (the default) disables either.
+  void set_cow_histograms(obs::Histogram* copied, obs::Histogram* published) {
+    cow_copied_ = copied;
+    cow_published_ = published;
+  }
+
   /// \brief Serializes the whole tree into `store` (page-chained format).
   /// Returns the id of the first page of the chain.
   Result<PageId> SaveTo(PageStore* store);
@@ -303,13 +313,21 @@ class BmehTree : public MultiKeyIndex {
   void ReplayShape(const hashdir::DirNode& src, int skip_dim,
                    hashdir::DirNode* dst);
 
+  /// The dimension along which `t`'s group in `parent` and its buddy are
+  /// same-shape sibling nodes that MergeNodeGroups may fuse, or -1.
+  /// Reads only (the const writer view), so a sweep that finds nothing
+  /// copies nothing.
+  int FindNodeMerge(const hashdir::DirNode& parent,
+                    const hashdir::IndexTuple& t) const;
+
   /// Merges the two sibling nodes of `t`'s group in `parent` back into one
-  /// (reverse of a node split).  Returns true when a merge happened.
-  bool TryMergeNodeGroups(hashdir::DirNode* parent,
-                          const hashdir::IndexTuple& t);
+  /// along the dimension FindNodeMerge returned (reverse of a node split).
+  void MergeNodeGroups(hashdir::DirNode* parent, const hashdir::IndexTuple& t,
+                       int m);
 
   /// Sweeps every group of a node, merging page buddies and sibling-node
-  /// pairs until nothing changes, then reverses unneeded doublings.
+  /// pairs until nothing changes, then reverses unneeded doublings.  The
+  /// node is taken mutable only once a merge or halving applies.
   /// Recursively applied to nodes produced by merges, and to force-split
   /// clones (which no deletion path would otherwise ever visit).
   void TidyNode(uint32_t node_id);
@@ -329,6 +347,8 @@ class BmehTree : public MultiKeyIndex {
   int levels_ = 1;
   BmehMutationStats mutations_;
   obs::Histogram* split_latency_ = nullptr;
+  obs::Histogram* cow_copied_ = nullptr;
+  obs::Histogram* cow_published_ = nullptr;
 
   // Optimistic read plane.  Readers start from these atomics, never from
   // root_id_/levels_/records_ (which a mutation updates mid-flight).

@@ -180,8 +180,9 @@ class Arena {
       }
       T* pub = Cell_(id).ptr.load(std::memory_order_relaxed);
       BMEH_DCHECK(pub != nullptr) << "access to dead id " << id;
-      auto clone = std::make_unique<T>(*pub);
+      std::unique_ptr<T> clone = CloneOf(*pub);
       T* raw = clone.get();
+      ++scope_copies_;
       originals_.emplace(id, pub);
       shadow_.emplace(id, std::move(clone));
       return raw;
@@ -234,11 +235,19 @@ class Arena {
   /// \brief True when this scope has pending slot changes to publish.
   bool ScopeDirty() const { return scope_active_ && !shadow_.empty(); }
 
+  /// \brief Published objects this scope has cloned so far.
+  uint64_t scope_copies() const { return scope_copies_; }
+
+  /// \brief Slots this scope will publish: clones, creations and
+  /// tombstones.
+  uint64_t scope_slots() const { return shadow_.size(); }
+
   /// \brief Closes a scope that made no publishable changes.
   void CancelScope() {
     BMEH_CHECK(scope_active_ && shadow_.empty());
     BMEH_CHECK(originals_.empty());
     BMEH_CHECK(scope_freed_.empty());
+    BMEH_CHECK(scope_copies_ == 0);
     scope_active_ = false;
   }
 
@@ -272,6 +281,7 @@ class Arena {
     shadow_.clear();
     originals_.clear();
     scope_live_delta_ = 0;
+    scope_copies_ = 0;
     scope_active_ = false;
   }
 
@@ -348,6 +358,15 @@ class Arena {
     return base == nullptr ? nullptr : base + off;
   }
 
+  // A type that owns a variable-size block (DataPage) clones itself.
+  static std::unique_ptr<T> CloneOf(const T& obj) {
+    if constexpr (requires { obj.Clone(); }) {
+      return obj.Clone();
+    } else {
+      return std::make_unique<T>(obj);
+    }
+  }
+
   Cell& Cell_(uint32_t id) const {
     Cell* c = CellOrNull(id);
     BMEH_CHECK(c != nullptr) << "slot for unallocated id " << id;
@@ -379,6 +398,7 @@ class Arena {
 
   bool scope_active_ = false;
   int64_t scope_live_delta_ = 0;
+  uint64_t scope_copies_ = 0;
   // id -> pending final object (null = destroy) for this scope.
   std::unordered_map<uint32_t, std::unique_ptr<T>> shadow_;
   // id -> published object to retire once the scope publishes.
@@ -395,14 +415,14 @@ class PageArena {
 
   uint32_t Create() {
     return arena_.Create([this](uint32_t id) {
-      return std::make_unique<DataPage>(id, capacity_);
+      return DataPage::Make(id, capacity_);
     });
   }
 
   /// \brief Recreates a page at a known id (deserialization path).
   void CreateAt(uint32_t id) {
     arena_.CreateAt(id, [this](uint32_t page_id) {
-      return std::make_unique<DataPage>(page_id, capacity_);
+      return DataPage::Make(page_id, capacity_);
     });
   }
 
@@ -420,6 +440,8 @@ class PageArena {
 
   void BeginScope() { arena_.BeginScope(); }
   bool ScopeDirty() const { return arena_.ScopeDirty(); }
+  uint64_t scope_copies() const { return arena_.scope_copies(); }
+  uint64_t scope_slots() const { return arena_.scope_slots(); }
   void CancelScope() { arena_.CancelScope(); }
   void PublishScope(std::vector<RetiredObject>* retired) {
     arena_.PublishScope(retired);
@@ -469,6 +491,8 @@ class NodeArena {
 
   void BeginScope() { arena_.BeginScope(); }
   bool ScopeDirty() const { return arena_.ScopeDirty(); }
+  uint64_t scope_copies() const { return arena_.scope_copies(); }
+  uint64_t scope_slots() const { return arena_.scope_slots(); }
   void CancelScope() { arena_.CancelScope(); }
   void PublishScope(std::vector<RetiredObject>* retired) {
     arena_.PublishScope(retired);

@@ -5,8 +5,9 @@
 // The loop is a template over a node source, a *view*:
 //   WriterView     NodeArena::Get (sees copy-on-write shadows); a dead id
 //                  is Corruption.  Search, Insert and Delete of both trees.
-//   PublishedView  Acquire + hand-over-hand VersionOf re-checks; any
-//                  instability is a conflict.  BmehTree::SearchOptimistic.
+//   PublishedView  Acquire + hand-over-hand VersionOf re-checks (the
+//                  root re-checks the root slot); any instability is a
+//                  conflict.  BmehTree::SearchOptimistic.
 //   frozen view    buffer-pool fetch + DecodeNode; errors propagate.
 //                  FrozenBmehTree::Search (src/store/frozen_tree.cc).
 // A view provides root(); Visit(id, is_root), which makes `id` the current
@@ -19,6 +20,7 @@
 #define BMEH_HASHDIR_DESCENT_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -176,15 +178,32 @@ class WriterView : public ArenaView {
 /// mixed.  Any instability sets conflicted() for the caller to retry.
 class PublishedView : public ArenaView {
  public:
-  using ArenaView::ArenaView;
+  /// The descent starts at the id `published_root` (the tree's published
+  /// root slot) holds now.
+  PublishedView(const NodeArena& nodes, const PageArena& pages,
+                const std::atomic<uint32_t>& published_root, IoCounter* io,
+                const std::unordered_set<uint32_t>* quarantined)
+      : ArenaView(nodes, pages,
+                  published_root.load(std::memory_order_acquire), io,
+                  quarantined),
+        published_root_(published_root) {}
 
   bool conflicted() const { return conflicted_; }
 
   Status Visit(uint32_t id, bool is_root) {
     const Arena<DirNode>::Snapshot s = nodes_.Acquire(id);
     // Re-checking the parent proves that the entry, and so this snapshot,
-    // was current a moment ago; published objects are immutable.
-    if (!is_root) BMEH_RETURN_NOT_OK(Validate());
+    // was current a moment ago; published objects are immutable.  The
+    // root has no parent, so it re-checks the root slot instead: a reader
+    // that stalled after loading the root id may find that id freed and
+    // recycled for a node deeper in the tree.
+    if (is_root) {
+      if (published_root_.load(std::memory_order_acquire) != id) {
+        return Conflict();
+      }
+    } else {
+      BMEH_RETURN_NOT_OK(Validate());
+    }
     if (s.ptr == nullptr || (s.version & 1) != 0) return Conflict();
     if (!is_root) io_->CountDirRead();
     id_ = id;
@@ -215,6 +234,7 @@ class PublishedView : public ArenaView {
     return ConflictStatus();
   }
 
+  const std::atomic<uint32_t>& published_root_;
   uint32_t id_ = 0;
   uint64_t version_ = 1;
   bool conflicted_ = false;

@@ -57,63 +57,71 @@ Status SplitPageGroup(const KeySchema& schema, DirNode* node,
   return Status::OK();
 }
 
+int FindPageMerge(const DirNode& node, const IndexTuple& t,
+                  const PageArena& pages, int page_capacity) {
+  const Entry e = node.at(t);
+  if (e.ref.is_node()) return -1;
+  // Preferred reversal order is the recorded last-split dimension, but
+  // node splits move bits between levels, so any dimension whose buddy
+  // group has the same shape is a legal (and necessary) merge.
+  for (int tries = 0; tries < node.dims(); ++tries) {
+    const int cand = (e.m + node.dims() - tries) % node.dims();
+    if (e.h[cand] == 0) continue;
+    const Entry be = node.at(node.BuddyGroup(t, cand));
+    if (be.h != e.h || be.ref.is_node()) continue;
+    if (e.ref.is_page() && be.ref.is_page() && e.ref.id == be.ref.id) {
+      continue;
+    }
+    const int size = e.ref.is_page() ? pages.Get(e.ref.id)->size() : 0;
+    const int buddy_size = be.ref.is_page() ? pages.Get(be.ref.id)->size() : 0;
+    // Strictly below capacity: merging two halves into an exactly-full
+    // page would both thrash (the next insert splits it again) and let
+    // an insertion-time tidy pass undo the very split the insertion
+    // needs (a full page re-absorbing its empty buddy forever).
+    if (size + buddy_size >= page_capacity) continue;
+    return cand;
+  }
+  return -1;
+}
+
+bool PageGroupTidyPending(const DirNode& node, const IndexTuple& t,
+                          const PageArena& pages, int page_capacity) {
+  const Ref ref = node.at(t).ref;
+  if (ref.is_node()) return false;
+  return FindPageMerge(node, t, pages, page_capacity) >= 0 ||
+         (ref.is_page() && pages.Get(ref.id)->empty());
+}
+
 int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
                       int page_capacity, IoCounter* io) {
-  // Immediate deletion of an emptied page (§2.1) even when no buddy merge
-  // is possible.
-  auto drop_if_empty = [&]() {
-    const Entry e = node->at(t);
-    if (e.ref.is_page() && pages->Get(e.ref.id)->empty()) {
-      pages->Destroy(e.ref.id);
-      node->SetGroupRef(t, Ref::Nil());
-      io->CountDirWrite();
-    }
-  };
+  // Sizes and emptiness are read through the const writer view, so only
+  // the page that absorbs its buddy is copied into the shadow.
+  const PageArena& view = std::as_const(*pages);
   int merges = 0;
   for (;;) {
     const Entry e = node->at(t);
     if (e.ref.is_node()) return merges;
-    // Preferred reversal order is the recorded last-split dimension, but
-    // node splits move bits between levels, so any dimension whose buddy
-    // group has the same shape is a legal (and necessary) merge.
-    int m = -1;
-    Entry be;
-    for (int tries = 0; tries < node->dims(); ++tries) {
-      const int cand = (e.m + node->dims() - tries) % node->dims();
-      if (e.h[cand] == 0) continue;
-      const Entry cand_be = node->at(node->BuddyGroup(t, cand));
-      if (cand_be.h != e.h || cand_be.ref.is_node()) continue;
-      if (e.ref.is_page() && cand_be.ref.is_page() &&
-          e.ref.id == cand_be.ref.id) {
-        continue;
-      }
-      const int cand_sz =
-          e.ref.is_page() ? pages->Get(e.ref.id)->size() : 0;
-      const int cand_bsz =
-          cand_be.ref.is_page() ? pages->Get(cand_be.ref.id)->size() : 0;
-      // Strictly below capacity: merging two halves into an exactly-full
-      // page would both thrash (the next insert splits it again) and let
-      // an insertion-time tidy pass undo the very split the insertion
-      // needs (a full page re-absorbing its empty buddy forever).
-      if (cand_sz + cand_bsz >= page_capacity) continue;
-      m = cand;
-      be = cand_be;
-      break;
-    }
+    const int m = FindPageMerge(*node, t, view, page_capacity);
     if (m < 0) {
-      drop_if_empty();
+      // Immediate deletion of an emptied page (§2.1) even when no buddy
+      // merge is possible.
+      if (e.ref.is_page() && view.Get(e.ref.id)->empty()) {
+        pages->Destroy(e.ref.id);
+        node->SetGroupRef(t, Ref::Nil());
+        io->CountDirWrite();
+      }
       return merges;
     }
+    const Entry be = node->at(node->BuddyGroup(t, m));
 
     Ref merged = Ref::Nil();
     if (e.ref.is_page() && be.ref.is_page()) {
       DataPage* target = pages->Get(e.ref.id);
-      DataPage* src = pages->Get(be.ref.id);
       io->CountDataRead(2);
-      for (const Record& rec : src->records()) {
+      for (const Record& rec : view.Get(be.ref.id)->records()) {
         BMEH_CHECK_OK(target->Insert(rec));
       }
-      pages->Destroy(src->id());
+      pages->Destroy(be.ref.id);
       io->CountDataWrite();
       merged = Ref::Page(target->id());
     } else if (e.ref.is_page()) {
@@ -121,7 +129,7 @@ int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
     } else if (be.ref.is_page()) {
       merged = be.ref;
     }
-    if (merged.is_page() && pages->Get(merged.id)->empty()) {
+    if (merged.is_page() && view.Get(merged.id)->empty()) {
       pages->Destroy(merged.id);
       merged = Ref::Nil();
     }
@@ -131,16 +139,21 @@ int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
   }
 }
 
+bool HalvingPending(const DirNode& node) {
+  const int dim = node.history().last_event_dim();
+  return dim >= 0 && node.CanHalve(dim);
+}
+
 int HalveNodeCascade(DirNode* node, IndexTuple* t, IoCounter* io) {
   int halvings = 0;
-  for (;;) {
+  while (HalvingPending(*node)) {
     const int dim = node->history().last_event_dim();
-    if (dim < 0 || !node->CanHalve(dim)) return halvings;
     node->Halve(dim);
     (*t)[dim] >>= 1;
     io->CountDirWrite();
     ++halvings;
   }
+  return halvings;
 }
 
 }  // namespace hashdir

@@ -26,11 +26,26 @@ Status SplitPageGroup(const KeySchema& schema, DirNode* node,
                       const std::array<uint16_t, kMaxDims>& consumed,
                       PageArena* pages, IoCounter* io);
 
+/// \brief The dimension along which MergeGroupCascade would next merge
+/// `t`'s group with its buddy (their records fit strictly below one
+/// page), or -1.  Reads only, so a copy-on-write writer can inspect
+/// through its const view and take a mutable node only to apply.
+int FindPageMerge(const DirNode& node, const IndexTuple& t,
+                  const PageArena& pages, int page_capacity);
+
+/// \brief True when MergeGroupCascade on `t` would change anything: a
+/// buddy merge, or dropping the group's emptied page.
+bool PageGroupTidyPending(const DirNode& node, const IndexTuple& t,
+                          const PageArena& pages, int page_capacity);
+
 /// \brief Repeatedly merges `t`'s group with its last-split buddy while
 /// their combined records fit in one page (reversal of page splitting).
 /// Stops at node-pointer children.  Returns the number of merges.
 int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
                       int page_capacity, IoCounter* io);
+
+/// \brief True when HalveNodeCascade would halve at least once.
+bool HalvingPending(const DirNode& node);
 
 /// \brief Reverses node doublings no entry needs any more; adjusts `t` so
 /// it keeps addressing the same region.  Returns the number of halvings.

@@ -10,8 +10,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <optional>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "src/common/result.h"
 #include "src/common/status.h"
@@ -29,22 +32,40 @@ struct Record {
     return key == other.key && payload == other.payload;
   }
 };
+static_assert(std::is_trivially_copyable_v<Record> &&
+                  std::is_trivially_destructible_v<Record>,
+              "DataPage copies records as raw bytes into its slots");
 
 /// \brief In-memory data page of capacity b.
-class DataPage {
+///
+/// One allocation holds the header and all `capacity` record slots, so a
+/// copy-on-write clone is a single allocation plus a copy of the live
+/// records, and a probe walks one contiguous block.  Pages therefore live
+/// only on the heap: Make allocates one, Clone copies one, and `delete`
+/// (a destroying operator delete) frees the whole block.
+class alignas(Record) DataPage {
  public:
-  DataPage(PageId id, int capacity) : id_(id), capacity_(capacity) {
-    BMEH_DCHECK(capacity >= 1);
-    records_.reserve(capacity);
-  }
+  /// \brief An empty page with room for `capacity` records.
+  static std::unique_ptr<DataPage> Make(PageId id, int capacity);
+
+  /// \brief A copy with the same id, capacity and records.
+  std::unique_ptr<DataPage> Clone() const;
+
+  DataPage(const DataPage&) = delete;
+  DataPage& operator=(const DataPage&) = delete;
+
+  /// Frees the block Make or Clone allocated (sized by the capacity).
+  void operator delete(DataPage* page, std::destroying_delete_t);
 
   PageId id() const { return id_; }
   int capacity() const { return capacity_; }
-  int size() const { return static_cast<int>(records_.size()); }
-  bool full() const { return size() >= capacity_; }
-  bool empty() const { return records_.empty(); }
+  int size() const { return size_; }
+  bool full() const { return size_ >= capacity_; }
+  bool empty() const { return size_ == 0; }
 
-  const std::vector<Record>& records() const { return records_; }
+  std::span<const Record> records() const {
+    return {slots(), static_cast<size_t>(size_)};
+  }
 
   /// \brief Index of the record with `key`, or -1.
   int Find(const PseudoKey& key) const;
@@ -67,7 +88,7 @@ class DataPage {
                  DataPage* right);
 
   /// \brief Removes all records.
-  void Clear() { records_.clear(); }
+  void Clear() { size_ = 0; }
 
   /// \brief Bytes needed to serialize a page of `capacity` records with
   /// `dims`-dimensional keys.
@@ -77,13 +98,26 @@ class DataPage {
   void Serialize(int dims, std::span<uint8_t> out) const;
 
   /// \brief Reconstructs a page from serialized bytes.
-  static Result<DataPage> Deserialize(PageId id, int capacity, int dims,
-                                      std::span<const uint8_t> in);
+  static Result<std::unique_ptr<DataPage>> Deserialize(
+      PageId id, int capacity, int dims, std::span<const uint8_t> in);
 
  private:
+  DataPage(PageId id, int capacity) : id_(id), capacity_(capacity) {}
+
+  /// Bytes of the block holding the header and `capacity` slots.
+  static size_t BlockBytes(int capacity) {
+    return sizeof(DataPage) + static_cast<size_t>(capacity) * sizeof(Record);
+  }
+
+  // The record slots start right after the header.
+  Record* slots() { return reinterpret_cast<Record*>(this + 1); }
+  const Record* slots() const {
+    return reinterpret_cast<const Record*>(this + 1);
+  }
+
   PageId id_;
   int capacity_;
-  std::vector<Record> records_;
+  int size_ = 0;
 };
 
 }  // namespace bmeh

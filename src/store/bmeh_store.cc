@@ -190,6 +190,14 @@ void BmehStore::FreezeCommitterForTesting(bool frozen) {
   if (committer_ != nullptr) committer_->FreezeForTesting(frozen);
 }
 
+void BmehStore::AttachTreeMetrics() {
+  if (metrics_ == nullptr) return;
+  tree_->set_split_latency_histogram(
+      metrics_->GetHistogram("split_latency_ns"));
+  tree_->set_cow_histograms(metrics_->GetHistogram("cow_copied_objects"),
+                            metrics_->GetHistogram("cow_published_slots"));
+}
+
 void BmehStore::AttachObservability(const StoreOptions& options) {
   tracer_ = options.tracer;
   oplog_ = options.oplog;
@@ -223,10 +231,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   wal_append_latency_ = metrics_->GetHistogram("wal_append_latency_ns");
   store_->AttachMetrics(metrics_, plane_.sample_guard(),
                         options.metrics_label);
-  if (tree_ != nullptr) {
-    tree_->set_split_latency_histogram(
-        metrics_->GetHistogram("split_latency_ns"));
-  }
+  if (tree_ != nullptr) AttachTreeMetrics();
   // Tree / WAL / logical-I/O state, sampled at Snapshot() time.  The
   // constructor runs before any replay or mutation, so by the time a
   // snapshot can observe this source tree_ is set (OpenExisting assigns
@@ -419,12 +424,9 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
   // (and zeroed) by the Wal; whatever replays is re-counted as dirty so
   // a clean shutdown folds it into the next checkpoint.
   BmehTree* tree = out->tree_.get();
-  if (out->metrics_ != nullptr) {
-    // The tree was built after the constructor attached observability;
-    // wire it now so replay-induced splits are already charged.
-    tree->set_split_latency_histogram(
-        out->metrics_->GetHistogram("split_latency_ns"));
-  }
+  // The tree was built after the constructor attached observability;
+  // wire it now so replay-induced splits are already charged.
+  out->AttachTreeMetrics();
   obs::Counter* replayed = out->wal_replayed_total_;
   out->wal_->SetBaseLsn(wal_base_lsn);
   BMEH_RETURN_NOT_OK(out->wal_->Replay(

@@ -446,6 +446,9 @@ class BmehStore {
   /// both are null).  Called from the constructor so WAL replay during
   /// Open() is already counted.
   void AttachObservability(const StoreOptions& options);
+  /// Wires the tree's split-latency and copy-on-write histograms (no-op
+  /// without a registry).
+  void AttachTreeMetrics();
   /// Appends to the WAL and makes the record reachable + durable per the
   /// sync policy.  On failure the store is poisoned.
   Status LogMutation(const Wal::LogRecord& rec);

@@ -277,7 +277,8 @@ Result<DirNode> FrozenBmehTree::FetchNode(PageId page) {
   return DecodeNode(h.data(), schema_);
 }
 
-Result<DataPage> FrozenBmehTree::FetchDataPage(PageId page) {
+Result<std::unique_ptr<DataPage>> FrozenBmehTree::FetchDataPage(
+    PageId page) {
   BMEH_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
   PageReader r(h.data());
   BMEH_ASSIGN_OR_RETURN(uint8_t type, r.U8());
@@ -307,15 +308,15 @@ class FrozenBmehTree::View {
   Status Validate() const { return Status::OK(); }
   bool Quarantined(uint32_t) const { return false; }
   Result<const DataPage*> Page(uint32_t id) {
-    BMEH_ASSIGN_OR_RETURN(DataPage page, tree_->FetchDataPage(id));
-    return &page_.emplace(std::move(page));
+    BMEH_ASSIGN_OR_RETURN(page_, tree_->FetchDataPage(id));
+    return page_.get();
   }
 
  private:
   FrozenBmehTree* tree_;
   const DirNode* node_;
   std::optional<DirNode> owned_;
-  std::optional<DataPage> page_;
+  std::unique_ptr<DataPage> page_;
 };
 
 Result<uint64_t> FrozenBmehTree::Search(const PseudoKey& key) {
@@ -352,7 +353,7 @@ Status FrozenBmehTree::RangeSearch(const RangePredicate& pred,
       bad = page.status();
       return;
     }
-    for (const Record& rec : page->records()) {
+    for (const Record& rec : (*page)->records()) {
       if (p.Matches(rec.key)) o->push_back(rec);
     }
   };

@@ -70,7 +70,7 @@ class FrozenBmehTree {
   /// Fetches and decodes the directory node stored at `page`.
   Result<hashdir::DirNode> FetchNode(PageId page);
   /// Fetches and decodes the data page stored at `page`.
-  Result<DataPage> FetchDataPage(PageId page);
+  Result<std::unique_ptr<DataPage>> FetchDataPage(PageId page);
 
   PageStore* store_;
   KeySchema schema_;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <vector>
 
@@ -158,16 +159,23 @@ TEST(DescendTest, PathDeeperThanKeyWidthIsCorruption) {
   EXPECT_EQ(path.size(), 1u) << "the over-deep child is not a path step";
 }
 
-// A published view that runs `before_child` once, just before the descent
-// visits its first non-root node: the reader has read the parent's entry
-// but not yet acquired the child.
+// A published view that runs `before_root` once, just before the descent
+// acquires the root (the reader has loaded the root id), and
+// `before_child` once, just before it visits its first non-root node (the
+// reader has read the parent's entry but not yet acquired the child).
 class PausingView : public PublishedView {
  public:
   using PublishedView::PublishedView;
 
+  std::function<void()> before_root;
   std::function<void()> before_child;
 
   Status Visit(uint32_t id, bool is_root) {
+    if (is_root && before_root) {
+      auto pause = std::move(before_root);
+      before_root = nullptr;
+      pause();
+    }
     if (!is_root && before_child) {
       auto pause = std::move(before_child);
       before_child = nullptr;
@@ -224,7 +232,8 @@ TEST(PublishedViewTest, ChildRecycledUnderStaleParentIsAConflict) {
   };
 
   IoCounter io;
-  PausingView view(nodes, pages, root, &io, nullptr);
+  const std::atomic<uint32_t> published_root{root};
+  PausingView view(nodes, pages, published_root, &io, nullptr);
   uint32_t recycled = 0;
   view.before_child = [&] {
     replace_child(0, low_page);                  // frees x
@@ -237,7 +246,77 @@ TEST(PublishedViewTest, ChildRecycledUnderStaleParentIsAConflict) {
   EXPECT_FALSE(got.ok());
 
   // A fresh descent over the current structure finds both keys.
-  PublishedView fresh(nodes, pages, root, &io, nullptr);
+  PublishedView fresh(nodes, pages, published_root, &io, nullptr);
+  EXPECT_EQ(PointLookup(schema, fresh, low).ValueOrDie(), 1u);
+  EXPECT_EQ(PointLookup(schema, fresh, high).ValueOrDie(), 2u);
+  EXPECT_FALSE(fresh.conflicted());
+  for (const RetiredObject& obj : retired) obj.deleter(obj.obj);
+}
+
+TEST(PublishedViewTest, RootRecycledUnderStaleRootIdIsAConflict) {
+  // The root has no parent to re-check.  A reader loads the published
+  // root id (node X, a leaf over both halves of dimension 0) and stalls
+  // before acquiring X.  Two commits land meanwhile: the first grows a
+  // new root with one child per half and destroys X, the second replaces
+  // the high child and recycles X's id for it.  X's slot then holds a
+  // valid, stable node for the high half only: read as the root, it would
+  // send `low` to the high bucket, and the reader would answer KeyError
+  // for a present key.  Re-checking the root slot makes it a conflict.
+  KeySchema schema(2, 8);
+  NodeArena nodes(2);
+  PageArena pages(4);
+  const PseudoKey low({0x10u, 0u});   // leading dim-0 bit 0
+  const PseudoKey high({0x90u, 0u});  // leading dim-0 bit 1
+  const uint32_t low_page = pages.Create();
+  const uint32_t high_page = pages.Create();
+  ASSERT_TRUE(pages.Get(low_page)->Insert({low, 1}).ok());
+  ASSERT_TRUE(pages.Get(high_page)->Insert({high, 2}).ok());
+  const uint32_t x = nodes.Create();
+  DirNode* leaf = nodes.Get(x);
+  leaf->Double(0);
+  leaf->SplitGroup(IndexTuple{}, 0, Ref::Page(low_page), Ref::Page(high_page));
+  std::atomic<uint32_t> published_root{x};
+
+  auto leaf_over = [&](uint32_t page) {
+    const uint32_t id = nodes.Create();
+    nodes.Get(id)->at_address(0) = MakeEntry(Ref::Page(page), 2);
+    return id;
+  };
+  std::vector<RetiredObject> retired;
+  uint32_t new_root = 0;
+  uint32_t recycled = 0;
+  IoCounter io;
+  PausingView view(nodes, pages, published_root, &io, nullptr);
+  view.before_root = [&] {
+    nodes.BeginScope();
+    const uint32_t low_child = leaf_over(low_page);
+    const uint32_t high_child = leaf_over(high_page);
+    new_root = nodes.Create();
+    nodes.Get(new_root)->Double(0);
+    nodes.Get(new_root)->SplitGroup(IndexTuple{}, 0, Ref::Node(low_child),
+                                    Ref::Node(high_child));
+    nodes.Destroy(x);
+    nodes.PublishScope(&retired);
+    published_root.store(new_root);
+
+    nodes.BeginScope();
+    recycled = leaf_over(high_page);
+    IndexTuple t{};
+    t[0] = 1;
+    Entry e = nodes.Get(new_root)->at(t);
+    nodes.Destroy(e.ref.id);
+    e.ref = Ref::Node(recycled);
+    nodes.Get(new_root)->at(t) = e;
+    nodes.PublishScope(&retired);
+  };
+  const Result<uint64_t> got = PointLookup(schema, view, low);
+  ASSERT_EQ(recycled, x) << "the second commit must recycle x's id";
+  EXPECT_TRUE(view.conflicted())
+      << "stale root id paired with a recycled node: " << got.status();
+  EXPECT_FALSE(got.ok());
+
+  // A fresh descent from the current root finds both keys.
+  PublishedView fresh(nodes, pages, published_root, &io, nullptr);
   EXPECT_EQ(PointLookup(schema, fresh, low).ValueOrDie(), 1u);
   EXPECT_EQ(PointLookup(schema, fresh, high).ValueOrDie(), 2u);
   EXPECT_FALSE(fresh.conflicted());

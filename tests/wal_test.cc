@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/crc32.h"
+#include "src/common/random.h"
 #include "src/pagestore/fault_injecting_page_store.h"
 #include "src/pagestore/page_store.h"
 
@@ -49,6 +50,49 @@ TEST(Crc32Test, MatchesKnownVector) {
 TEST(Crc32Test, SeedChangesValue) {
   const char data[] = "same bytes";
   EXPECT_NE(Crc32(data, sizeof(data), 8), Crc32(data, sizeof(data), 32));
+}
+
+// The classic byte-at-a-time CRC-32, kept here as the reference the
+// sliced implementation must match bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnRandomInputs) {
+  Rng rng(20261020);
+  std::vector<uint8_t> buf(5000 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = rng.Uniform(5001);  // 0..5000 bytes
+    const size_t start = rng.Uniform(8);   // unaligned starts
+    const uint32_t seed =
+        trial % 4 == 0 ? 0 : static_cast<uint32_t>(rng.Next64());
+    ASSERT_EQ(Crc32(buf.data() + start, len, seed),
+              BytewiseCrc32(buf.data() + start, len, seed))
+        << "len " << len << " start " << start << " seed " << seed;
+  }
+  const uint8_t* check = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(BytewiseCrc32(check, 9, 0), 0xcbf43926u);
+}
+
+TEST(Crc32Test, ChainingMatchesOneShot) {
+  // Crc32(b, Crc32(a)) == Crc32(a ++ b): the seed continues a checksum.
+  Rng rng(7);
+  std::vector<uint8_t> buf(4108);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (const size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{13},
+                           size_t{4096}, buf.size()}) {
+    EXPECT_EQ(Crc32(buf.data() + cut, buf.size() - cut,
+                    Crc32(buf.data(), cut)),
+              Crc32(buf.data(), buf.size()));
+  }
 }
 
 TEST(WalTest, AppendReplayRoundTrip) {
